@@ -232,20 +232,33 @@ def test_criterion_8_solver_properties():
     _ok(8, f"positivity x 10^4 steps, mass exact, L1 errors decrease {[f'{e:.3f}' for e in errors]}")
 
 
+# sha256 of the artifacts of `plumetrack run --scenario scenario_a --seed 0
+# --trace`. A refactor must leave every byte in place; a change here is a
+# change in behaviour and has to be made on purpose.
+CRITERION_9_SHA256 = {
+    "metrics.json": "e0782d3ce7b213b9079a03d659a61744bb8e89349a683c0a815bf5d827873cb5",
+    "trajectory.csv": "b5129a96a4d61c84cad1a15f811f984ba8ae1a983cbcfa541472609b5362def7",
+    "uncertainty.csv": "4cc6101d2688df7a59b42f1b081dffb40b19c221fd1786494b63466c83af3b3d",
+    "belief_final.csv": "19c0bea06b36dcf710f54e8bf7d03db5b73d08398f3bc22a02a75a6dfb934142",
+    "planner_trace.csv": "d2ea39cb5ac3fa823fc61a370fe387cf32e6d1b606cd7504470a742210c34213",
+}
+
+
 def test_criterion_9_cli_determinism(tmp_path):
     digests = []
     for sub in ("first", "second"):
         out = tmp_path / sub
-        code = main(["run", "--scenario", "scenario_a", "--seed", "0", "--out", str(out)])
-        assert code == 0
+        argv = ["run", "--scenario", "scenario_a", "--seed", "0", "--trace", "--out", str(out)]
+        assert main(argv) == 0
         digests.append(
-            (
-                hashlib.sha256((out / "metrics.json").read_bytes()).hexdigest(),
-                hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest(),
-            )
+            {
+                name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in CRITERION_9_SHA256
+            }
         )
     assert digests[0] == digests[1]
-    _ok(9, f"repeated runs byte-identical (metrics {digests[0][0][:12]}..., trajectory {digests[0][1][:12]}...)")
+    assert digests[0] == CRITERION_9_SHA256
+    _ok(9, f"repeated runs byte-identical and equal to the {len(digests[0])} pinned digests")
 
 
 def test_criterion_10_runtime_and_success_rate_not_reproduced(tmp_path):
