@@ -15,13 +15,21 @@ cells, built from a Gaussian kernel on angular deviation:
 The kernel only covers a square neighbourhood of the vehicle's cell; every
 cell outside it inherits the weight of the nearest covered cell. Posterior
 updates are plain Bayes products followed by normalization.
+
+The kernel parameters sigma2_hit, sigma2_miss and local_radius_cells live on
+planner.PlannerParams (the scenario's `planner` section): the mission's
+belief update and the planner's predicted updates read the same object.
 """
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import GridGeometry
+
+if TYPE_CHECKING:
+    from .planner import PlannerParams
 
 
 class DegenerateUpdateError(Exception):
@@ -39,18 +47,11 @@ class MeasurementContext:
     usv_pos: tuple[float, float]
     v_hat: tuple[float, float]
     last_hit_pos: tuple[float, float] | None = None
-    sigma2_hit: float = 1.0
-    sigma2_miss: float = 4.0
-    local_radius_cells: int = 5
 
     def __post_init__(self):
-        if self.sigma2_hit <= 0 or self.sigma2_miss <= 0:
-            raise ValueError("kernel variances must be positive")
         norm = float(np.hypot(*self.v_hat))
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"v_hat must be a unit vector, |v_hat| = {norm}")
-        if self.local_radius_cells < 0:
-            raise ValueError("local_radius_cells must be >= 0")
 
 
 @dataclass
@@ -135,7 +136,9 @@ def _extend_from_block(geometry: GridGeometry, weights, block):
     return weights[np.ix_(rows, cols)]
 
 
-def detection_likelihood(ctx: MeasurementContext, geometry: GridGeometry) -> LikelihoodField:
+def detection_likelihood(
+    ctx: MeasurementContext, geometry: GridGeometry, params: "PlannerParams"
+) -> LikelihoodField:
     """Likelihood field for an above-threshold reading at ctx.usv_pos.
 
     Covered cells get exp(-theta^2 / (2 * sigma2_hit)) where theta is the
@@ -145,14 +148,16 @@ def detection_likelihood(ctx: MeasurementContext, geometry: GridGeometry) -> Lik
     """
     X, Y = geometry.cell_centers()
     theta = angle_between(ctx.usv_pos[0] - X, ctx.usv_pos[1] - Y, *ctx.v_hat)
-    w = np.exp(-(theta**2) / (2.0 * ctx.sigma2_hit))
+    w = np.exp(-(theta**2) / (2.0 * params.sigma2_hit))
     ui, uj = geometry.cell_of(ctx.usv_pos)
     w[uj, ui] = 1.0
-    block = _covered_block(geometry, (ui, uj), ctx.local_radius_cells)
+    block = _covered_block(geometry, (ui, uj), params.local_radius_cells)
     return LikelihoodField(geometry, _extend_from_block(geometry, w, block))
 
 
-def miss_likelihood(ctx: MeasurementContext, geometry: GridGeometry) -> LikelihoodField:
+def miss_likelihood(
+    ctx: MeasurementContext, geometry: GridGeometry, params: "PlannerParams"
+) -> LikelihoodField:
     """Likelihood field for a below-threshold reading at ctx.usv_pos.
 
     Uninformative (all equal) before the first detection. Otherwise covered
@@ -171,9 +176,9 @@ def miss_likelihood(ctx: MeasurementContext, geometry: GridGeometry) -> Likeliho
         return LikelihoodField(geometry, ones)
     X, Y = geometry.cell_centers()
     phi = angle_between(X - ctx.usv_pos[0], Y - ctx.usv_pos[1], rx, ry)
-    w = np.exp(-(phi**2) / (2.0 * ctx.sigma2_miss))
+    w = np.exp(-(phi**2) / (2.0 * params.sigma2_miss))
     ui, uj = geometry.cell_of(ctx.usv_pos)
-    block = _covered_block(geometry, (ui, uj), ctx.local_radius_cells)
+    block = _covered_block(geometry, (ui, uj), params.local_radius_cells)
     ilo, ihi, jlo, jhi = block
     w[uj, ui] = w[jlo : jhi + 1, ilo : ihi + 1].min()
     return LikelihoodField(geometry, _extend_from_block(geometry, w, block))

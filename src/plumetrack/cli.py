@@ -3,13 +3,12 @@
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import io
-from .field import FlowSpec, init_field, run_warmup
+from .field import init_field, run_warmup
 from .mission import Mission, MissionGoal, MissionStatus, TrackResult
 from .scenario import (
     Scenario,
@@ -21,20 +20,6 @@ from .scenario import (
 EXIT_OK = 0
 EXIT_ABORTED = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunMetrics:
-    """Per-trial record plus the aggregate block for batch runs."""
-
-    seed: int
-    status: str
-    error_m: float
-    estimate_m: tuple[float, float]
-    sci_m: tuple[float, float]
-    updates: int
-    sim_time_s: float
-    wall_time_s: float
 
 
 def _result_dict(result: TrackResult, seed: int, scenario_sha: str | None) -> dict:
@@ -58,7 +43,10 @@ def write_outputs(result: TrackResult, mission: Mission, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_trajectory_csv(out_dir / "trajectory.csv", mission.log.trajectory)
-    io.write_uncertainty_csv(out_dir / "uncertainty.csv", mission.log.uncertainty)
+    io.write_uncertainty_csv(
+        out_dir / "uncertainty.csv",
+        [(fb.step, fb.sim_time_s, *fb.sci_m, *fb.estimate) for fb in mission.log.feedbacks],
+    )
     io.write_belief_csv(out_dir / "belief_final.csv", mission.belief)
     if mission.log.trace:
         io.write_trace_csv(out_dir / "planner_trace.csv", mission.log.trace)
@@ -104,54 +92,44 @@ def _cmd_batch(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trials: list[RunMetrics] = []
+    trials: list[tuple[int, TrackResult]] = []
     for t in range(args.trials):
         seed = base_seed + t
         trial_dir = out_dir / f"trial_{t:03d}"
         result, wall = run_single(scenario, seed, trial_dir)
-        trials.append(
-            RunMetrics(
-                seed=seed,
-                status=result.status.value,
-                error_m=result.error_m,
-                estimate_m=result.estimate,
-                sci_m=result.sci_m,
-                updates=result.updates,
-                sim_time_s=result.sim_time_s,
-                wall_time_s=wall,
-            )
-        )
+        trials.append((seed, result))
         print(
             f"trial {t}: seed={seed} status={result.status.value} "
             f"error={result.error_m:.2f} m updates={result.updates} "
             f"sim_time={result.sim_time_s:.0f} s wall_time={wall:.2f} s"
         )
 
-    succeeded = [t for t in trials if t.status == MissionStatus.SUCCEEDED.value]
+    results = [r for _, r in trials]
+    succeeded = [r for r in results if r.status == MissionStatus.SUCCEEDED]
     aggregate = {
-        "trials": len(trials),
+        "trials": len(results),
         "succeeded": len(succeeded),
-        "success_rate": len(succeeded) / len(trials),
+        "success_rate": len(succeeded) / len(results),
         "mean_error_m": (
-            sum(t.error_m for t in succeeded) / len(succeeded) if succeeded else None
+            sum(r.error_m for r in succeeded) / len(succeeded) if succeeded else None
         ),
-        "mean_sim_time_s": sum(t.sim_time_s for t in trials) / len(trials),
+        "mean_sim_time_s": sum(r.sim_time_s for r in results) / len(results),
     }
     payload = {
         "scenario_sha256": scenario.source_sha256,
         "base_seed": base_seed,
         "trials": [
             {
-                "seed": t.seed,
-                "status": t.status,
-                "error_m": t.error_m,
-                "estimate_m": list(t.estimate_m),
-                "sci_m": list(t.sci_m),
-                "updates": t.updates,
-                "sim_time_s": t.sim_time_s,
+                "seed": seed,
+                "status": r.status.value,
+                "error_m": r.error_m,
+                "estimate_m": list(r.estimate),
+                "sci_m": list(r.sci_m),
+                "updates": r.updates,
+                "sim_time_s": r.sim_time_s,
                 "wall_time_s": None,
             }
-            for t in trials
+            for seed, r in trials
         ],
         "aggregate": aggregate,
     }
@@ -179,9 +157,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_field(args) -> int:
     scenario = parse_scenario(args.scenario)
-    flow = FlowSpec(scenario.flow.v, scenario.effective_diffusivity())
     field = init_field(scenario.geometry, 0.0)
-    field = run_warmup(field, flow, scenario.source, args.t, scenario.dt)
+    field = run_warmup(field, scenario.solver_flow(), scenario.source, args.t, scenario.dt)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     io.write_field_csv(out, field)

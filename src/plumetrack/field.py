@@ -47,7 +47,7 @@ class SourceSpec:
 
     def __post_init__(self):
         if self.rate < 0:
-            raise ValueError(f"release rate must be >= 0, got {self.rate}")
+            raise ValueError(f"rate: must be >= 0, got {self.rate}")
 
 
 @dataclass

@@ -22,10 +22,13 @@ class GridGeometry:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError(f"grid needs nx >= 1 and ny >= 1, got {self.nx}x{self.ny}")
+        # each message starts with the field name, which scenario errors extend to a path
+        if self.nx < 1:
+            raise ValueError(f"nx: must be >= 1, got {self.nx}")
+        if self.ny < 1:
+            raise ValueError(f"ny: must be >= 1, got {self.ny}")
         if not self.h > 0:
-            raise ValueError(f"cell size h must be positive, got {self.h}")
+            raise ValueError(f"h: must be positive, got {self.h}")
 
     @property
     def k(self) -> int:

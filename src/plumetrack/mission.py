@@ -8,12 +8,18 @@ is a flag checked at update boundaries, safe to set from another thread.
 
 Everything in the loop is deterministic for a fixed (scenario, seed): the
 random generator is consumed only by sensor noise, which defaults to off.
+
+The goal holds only the scenario. The stopping test (gamma, tau_m) and the
+budgets (max_updates, max_sim_time_s) are scenario fields, and
+MissionGoal.for_scenario(scenario, **overrides) replaces some of them and
+validates the result like a parsed file. The measurement kernels read their
+parameters from the scenario's PlannerParams.
 """
 
 import enum
 import logging
 import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -26,7 +32,7 @@ from .belief import (
     point_estimate,
     uniform_belief,
 )
-from .field import FlowSpec, init_field, run_warmup, step as field_step
+from .field import init_field, run_warmup, step as field_step
 from .planner import score_candidates, select_waypoint
 from .scenario import Scenario
 from .uncertainty import sci_widths, termination_check
@@ -43,32 +49,18 @@ class MissionStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class MissionGoal:
-    """Tracking request: the scenario plus stopping and budget parameters."""
+    """Tracking request: the scenario, whose fields set the stopping test and budgets."""
 
     scenario: Scenario
-    gamma: float
-    tau_m: float
-    max_updates: int
-    max_sim_time_s: float
-
-    def __post_init__(self):
-        if not 0 < self.gamma < 1:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not self.tau_m > 0:
-            raise ValueError(f"tau_m must be positive, got {self.tau_m}")
-        if self.max_updates < 0 or self.max_sim_time_s < 0:
-            raise ValueError("budgets must be non-negative")
 
     @classmethod
     def for_scenario(cls, scenario: Scenario, **overrides) -> "MissionGoal":
-        kwargs = {
-            "gamma": scenario.gamma,
-            "tau_m": scenario.tau_m,
-            "max_updates": scenario.max_updates,
-            "max_sim_time_s": scenario.max_sim_time_s,
-        }
-        kwargs.update(overrides)
-        return cls(scenario=scenario, **kwargs)
+        """Goal for the scenario with some fields replaced, e.g. max_updates=10.
+
+        The replaced scenario is validated again, so a bad override raises
+        ScenarioError (a ValueError) naming its field.
+        """
+        return cls(replace(scenario, **overrides))
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,6 @@ class MissionLog:
     """Per-run artifact rows, appended as the loop progresses."""
 
     trajectory: list = dc_field(default_factory=list)
-    uncertainty: list = dc_field(default_factory=list)
     trace: list = dc_field(default_factory=list)
     feedbacks: list = dc_field(default_factory=list)
     degenerate_updates: int = 0
@@ -122,11 +113,9 @@ class Mission:
         self.log = MissionLog()
 
         self.geometry = sc.geometry
-        self.flow = FlowSpec(sc.flow.v, sc.effective_diffusivity())
-        self.source = sc.source
-        self.dt = sc.dt
+        self.flow = sc.solver_flow()
         self.field = run_warmup(
-            init_field(self.geometry, 0.0), self.flow, self.source, sc.warmup_s, self.dt
+            init_field(self.geometry, 0.0), self.flow, sc.source, sc.warmup_s, sc.dt
         )
         threshold = sc.sonde_threshold
         if threshold is None:
@@ -137,12 +126,9 @@ class Mission:
                     "set sonde.threshold explicitly or check the source rate"
                 )
         self.sonde = SondeSpec(threshold, sc.sonde_noise_std, sc.sonde_sample_period)
-        self.measure_mode = sc.measure_mode
 
         speed = float(np.hypot(*sc.flow.v))
         self.v_hat = (sc.flow.v[0] / speed, sc.flow.v[1] / speed)
-        self.params = sc.planner
-        self.local_radius_cells = sc.local_radius_cells
         self.belief = uniform_belief(self.geometry)
         self.usv = UsvState(sc.usv_start, sc.usv_speed, time=self.field.time)
         self.last_hit: tuple[float, float] | None = None
@@ -179,31 +165,27 @@ class Mission:
         if self._result is not None:
             return self._result
 
+        sc = self.goal.scenario
         status = None
         while status is None:
             if self._cancel.is_set():
                 status = MissionStatus.CANCELED
                 break
-            if self.updates_used >= self.goal.max_updates:
+            if self.updates_used >= sc.max_updates:
                 status = MissionStatus.ABORTED
                 break
-            if self.sim_time_s > self.goal.max_sim_time_s:
+            if self.sim_time_s > sc.max_sim_time_s:
                 status = MissionStatus.ABORTED
                 break
 
             reading = take_reading(self.field, self.usv, self.sonde, self._rng)
-            ctx = MeasurementContext(
-                usv_pos=reading.position,
-                v_hat=self.v_hat,
-                last_hit_pos=self.last_hit,
-                sigma2_hit=self.params.sigma2_hit,
-                sigma2_miss=self.params.sigma2_miss,
-                local_radius_cells=self.local_radius_cells,
-            )
             if reading.z:
-                like = detection_likelihood(ctx, self.geometry)
-            else:
-                like = miss_likelihood(ctx, self.geometry)
+                self.last_hit = reading.position
+            # the detection kernel ignores last_hit_pos, so the context the
+            # planner needs serves the update as well
+            ctx = MeasurementContext(reading.position, self.v_hat, self.last_hit)
+            kernel = detection_likelihood if reading.z else miss_likelihood
+            like = kernel(ctx, self.geometry, sc.planner)
             try:
                 self.belief = bayes_update(self.belief, like)
             except DegenerateUpdateError:
@@ -215,19 +197,9 @@ class Mission:
                 )
             self.updates_used += 1
             self.step_index += 1
-            if reading.z:
-                self.last_hit = reading.position
-                ctx = MeasurementContext(
-                    usv_pos=reading.position,
-                    v_hat=self.v_hat,
-                    last_hit_pos=self.last_hit,
-                    sigma2_hit=self.params.sigma2_hit,
-                    sigma2_miss=self.params.sigma2_miss,
-                    local_radius_cells=self.local_radius_cells,
-                )
 
             estimate = point_estimate(self.belief)
-            widths = sci_widths(self.belief, self.goal.gamma)
+            widths = sci_widths(self.belief, sc.gamma)
             fb = MissionFeedback(
                 step=self.step_index,
                 sim_time_s=self.sim_time_s,
@@ -237,13 +209,10 @@ class Mission:
                 last_z=reading.z,
             )
             self.log.feedbacks.append(fb)
-            self.log.uncertainty.append(
-                (self.step_index, self.sim_time_s, widths[0], widths[1], estimate[0], estimate[1])
-            )
             if self._feedback_cb is not None:
                 self._feedback_cb(fb)
 
-            if termination_check(widths, self.goal.tau_m):
+            if termination_check(widths, sc.tau_m):
                 self.log.trajectory.append(
                     (reading.time - self._t0, *reading.position,
                      reading.concentration, reading.z, None, None)
@@ -254,8 +223,8 @@ class Mission:
             usv_cell = self.geometry.cell_of(self.usv.position)
             scores = None
             if self._collect_trace:
-                scores = score_candidates(self.belief, usv_cell, ctx, self.params)
-            waypoint_cell = select_waypoint(self.belief, usv_cell, ctx, self.params, scores=scores)
+                scores = score_candidates(self.belief, usv_cell, ctx, sc.planner)
+            waypoint_cell = select_waypoint(self.belief, usv_cell, ctx, sc.planner, scores=scores)
             if scores is not None:
                 for s in scores:
                     self.log.trace.append(
@@ -270,8 +239,8 @@ class Mission:
             self._travel(waypoint)
 
         estimate = point_estimate(self.belief)
-        widths = sci_widths(self.belief, self.goal.gamma)
-        src = self.source.position
+        widths = sci_widths(self.belief, sc.gamma)
+        src = sc.source.position
         error = float(np.hypot(estimate[0] - src[0], estimate[1] - src[1]))
         self._result = TrackResult(
             status=status,
@@ -290,15 +259,13 @@ class Mission:
         In continuous measure mode the leg is interrupted once sample_period
         elapses, so the next reading happens en route.
         """
+        sc = self.goal.scenario
         elapsed = 0.0
         while self.usv.position != tuple(waypoint):
-            self.usv = advance_towards(self.usv, waypoint, self.dt, self.geometry)
-            self.field = field_step(self.field, self.flow, self.source, self.dt)
-            elapsed += self.dt
-            if (
-                self.measure_mode == "continuous"
-                and elapsed + 1e-9 >= self.sonde.sample_period
-            ):
+            self.usv = advance_towards(self.usv, waypoint, sc.dt, self.geometry)
+            self.field = field_step(self.field, self.flow, sc.source, sc.dt)
+            elapsed += sc.dt
+            if sc.measure_mode == "continuous" and elapsed + 1e-9 >= self.sonde.sample_period:
                 break
 
 

@@ -35,21 +35,33 @@ from .grid import GridGeometry
 
 @dataclass(frozen=True)
 class PlannerParams:
+    """Planner settings and the measurement kernel parameters.
+
+    The belief update and the planner's predicted updates both read
+    sigma2_hit, sigma2_miss and local_radius_cells from here, so the model
+    the planner plans against is the one the belief is updated with.
+    """
+
     window_cells: int = 11
     sigma2_hit: float = 1.0
     sigma2_miss: float = 4.0
     detection_ceiling: float = 1.0
     prob_clip: float = 1e-6
+    local_radius_cells: int = 5
 
     def __post_init__(self):
         if self.window_cells < 3 or self.window_cells % 2 == 0:
-            raise ValueError(f"window_cells must be odd and >= 3, got {self.window_cells}")
-        if not 0 < self.prob_clip < 0.5:
-            raise ValueError(f"prob_clip must be in (0, 0.5), got {self.prob_clip}")
+            raise ValueError(f"window_cells: must be odd and >= 3, got {self.window_cells}")
+        if not self.sigma2_hit > 0:
+            raise ValueError(f"sigma2_hit: must be positive, got {self.sigma2_hit}")
+        if not self.sigma2_miss > 0:
+            raise ValueError(f"sigma2_miss: must be positive, got {self.sigma2_miss}")
         if not 0 < self.detection_ceiling <= 1:
-            raise ValueError(f"detection_ceiling must be in (0, 1], got {self.detection_ceiling}")
-        if self.sigma2_hit <= 0 or self.sigma2_miss <= 0:
-            raise ValueError("kernel variances must be positive")
+            raise ValueError(f"detection_ceiling: must be in (0, 1], got {self.detection_ceiling}")
+        if not 0 < self.prob_clip < 0.5:
+            raise ValueError(f"prob_clip: must be in (0, 0.5), got {self.prob_clip}")
+        if self.local_radius_cells < 0:
+            raise ValueError(f"local_radius_cells: must be >= 0, got {self.local_radius_cells}")
 
 
 @dataclass(frozen=True)
@@ -145,15 +157,9 @@ def expected_information_gain(
 ) -> CandidateScore:
     """Score one candidate, evaluating the kernels as if the USV were there."""
     geom = belief.geometry
-    centre = geom.cell_center(*candidate)
-    cand_ctx = replace(
-        ctx,
-        usv_pos=centre,
-        sigma2_hit=params.sigma2_hit,
-        sigma2_miss=params.sigma2_miss,
-    )
-    hit_like = detection_likelihood(cand_ctx, geom)
-    miss_like = miss_likelihood(cand_ctx, geom)
+    cand_ctx = replace(ctx, usv_pos=geom.cell_center(*candidate))
+    hit_like = detection_likelihood(cand_ctx, geom, params)
+    miss_like = miss_likelihood(cand_ctx, geom, params)
     p_hit = predicted_hit_probability(belief, candidate, ctx.v_hat, params)
     ig = information_gain(belief, hit_like, miss_like, p_hit)
     return CandidateScore(cell=candidate, ig=ig, p_hit=p_hit)

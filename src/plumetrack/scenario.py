@@ -15,12 +15,24 @@ A scenario file is a JSON object with the sections
     seed       base RNG seed
 
 Unknown keys are rejected so typos cannot silently fall back to defaults,
-and every invariant violation is reported with its field path.
+and every invariant violation is reported with its field path. Non-finite
+numbers (JSON Infinity, NaN) are rejected too.
+
+Each default is written once, on its dataclass field: workspace, source and
+planner keys are the field names of GridGeometry, SourceSpec and
+PlannerParams, and the other keys map onto Scenario fields through
+_FLAT_FIELDS, which the parser and to_dict both read. The measurement kernel
+parameters (sigma2_hit, sigma2_miss, local_radius_cells) are PlannerParams
+fields, read by the belief update and the planner alike. The stopping test
+(gamma, tau_m) and the budgets (max_updates, max_sim_time_s) are Scenario
+fields; mission.MissionGoal.for_scenario(scenario, **overrides) replaces them
+for one mission and validates the result as a parsed file would be.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +43,6 @@ from .planner import PlannerParams
 
 MEASURE_MODES = ("on_arrival", "continuous")
 _SCENARIO_DIR = Path(__file__).parent / "scenarios"
-_MISSING = object()
 
 
 class ScenarioError(ValueError):
@@ -52,7 +63,6 @@ class Scenario:
     sonde_sample_period: float = 1.0
     measure_mode: str = "on_arrival"
     planner: PlannerParams = PlannerParams()
-    local_radius_cells: int = 5
     gamma: float = 0.99
     tau_m: float = 10.0
     dt: float = 1.0
@@ -85,17 +95,15 @@ class Scenario:
             raise ScenarioError(
                 f"sonde.measure_mode: expected one of {MEASURE_MODES}, got {self.measure_mode!r}"
             )
-        if self.local_radius_cells < 0:
-            raise ScenarioError("planner.local_radius_cells: must be >= 0")
         if not 0 < self.gamma < 1:
             raise ScenarioError(f"stopping.gamma: must be in (0, 1), got {self.gamma}")
         if not self.tau_m > 0:
             raise ScenarioError(f"stopping.tau_m: must be positive, got {self.tau_m}")
         if not self.dt > 0:
             raise ScenarioError(f"sim.dt: must be positive, got {self.dt}")
-        bound = max_stable_dt(
-            FlowSpec(self.flow.v, self.effective_diffusivity()), self.geometry, 1.0
-        )
+        if self.effective_diffusivity_override is not None and self.effective_diffusivity_override < 0:
+            raise ScenarioError("flow.effective_lambda: must be >= 0 when given")
+        bound = max_stable_dt(self.solver_flow(), self.geometry, 1.0)
         if self.dt > bound * (1.0 + 1e-12):
             raise ScenarioError(f"sim.dt: {self.dt} exceeds the stability bound {bound:.6g}")
         if self.warmup_s < 0:
@@ -104,53 +112,30 @@ class Scenario:
             raise ScenarioError("sim.max_updates: must be >= 0")
         if self.max_sim_time_s < 0:
             raise ScenarioError("sim.max_sim_time_s: must be >= 0")
-        if self.effective_diffusivity_override is not None and self.effective_diffusivity_override < 0:
-            raise ScenarioError("flow.effective_lambda: must be >= 0 when given")
 
-    def effective_diffusivity(self) -> float:
-        """Diffusivity the solver runs with (override wins over the molecular value)."""
-        if self.effective_diffusivity_override is not None:
-            return self.effective_diffusivity_override
-        return self.flow.diffusivity
+    def solver_flow(self) -> FlowSpec:
+        """The flow the solver runs: the effective diffusivity, when given, wins
+        over the molecular one."""
+        if self.effective_diffusivity_override is None:
+            return self.flow
+        return FlowSpec(self.flow.v, self.effective_diffusivity_override)
 
     def to_dict(self) -> dict:
+        """The scenario as a JSON-serializable object that parses back to it."""
         d = {
-            "workspace": {
-                "nx": self.geometry.nx,
-                "ny": self.geometry.ny,
-                "h": self.geometry.h,
-                "origin": list(self.geometry.origin),
-            },
-            "flow": {"v": list(self.flow.v), "lambda": self.flow.diffusivity},
-            "source": {"position": list(self.source.position), "rate": self.source.rate},
-            "usv": {"start": list(self.usv_start), "speed": self.usv_speed},
-            "sonde": {
-                "threshold_fraction": self.sonde_threshold_fraction,
-                "noise_std": self.sonde_noise_std,
-                "sample_period": self.sonde_sample_period,
-                "measure_mode": self.measure_mode,
-            },
-            "planner": {
-                "window_cells": self.planner.window_cells,
-                "sigma2_hit": self.planner.sigma2_hit,
-                "sigma2_miss": self.planner.sigma2_miss,
-                "detection_ceiling": self.planner.detection_ceiling,
-                "prob_clip": self.planner.prob_clip,
-                "local_radius_cells": self.local_radius_cells,
-            },
-            "stopping": {"gamma": self.gamma, "tau_m": self.tau_m},
-            "sim": {
-                "dt": self.dt,
-                "warmup_s": self.warmup_s,
-                "max_updates": self.max_updates,
-                "max_sim_time_s": self.max_sim_time_s,
-            },
-            "seed": self.seed,
+            "workspace": asdict(self.geometry),
+            "flow": {"v": self.flow.v, "lambda": self.flow.diffusivity},
+            "source": asdict(self.source),
+            "usv": {},
+            "sonde": {},
+            "planner": asdict(self.planner),
+            "stopping": {},
+            "sim": {},
         }
-        if self.effective_diffusivity_override is not None:
-            d["flow"]["effective_lambda"] = self.effective_diffusivity_override
-        if self.sonde_threshold is not None:
-            d["sonde"]["threshold"] = self.sonde_threshold
+        for section, key, name, _ in _FLAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                (d if section == "scenario" else d[section])[key] = value
         return d
 
 
@@ -168,11 +153,11 @@ class _Section:
         self.data = data
         self.seen: set[str] = set()
 
-    def get(self, key, default=_MISSING):
+    def get(self, key, default=MISSING):
         self.seen.add(key)
         if key in self.data:
             return self.data[key]
-        if default is _MISSING:
+        if default is MISSING:
             raise ScenarioError(f"{self.name}.{key}: required key missing")
         return default
 
@@ -185,7 +170,13 @@ class _Section:
 def _number(section, key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{section}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioError(f"{section}.{key}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _optional_number(section, key, value):
+    return None if value is None else _number(section, key, value)
 
 
 def _integer(section, key, value):
@@ -200,117 +191,80 @@ def _pair(section, key, value):
     return (_number(section, key, value[0]), _number(section, key, value[1]))
 
 
+def _as_given(section, key, value):
+    return value
+
+
+# Converter per field type of the dataclasses a section maps onto one to one.
+_CONVERTERS = {int: _integer, float: _number, tuple[float, float]: _pair}
+# (section, key, Scenario field, converter) for every other JSON key that sets
+# one Scenario field; "scenario" is the top level.
+_FLAT_FIELDS = (
+    ("flow", "effective_lambda", "effective_diffusivity_override", _optional_number),
+    ("usv", "start", "usv_start", _pair),
+    ("usv", "speed", "usv_speed", _number),
+    ("sonde", "threshold", "sonde_threshold", _optional_number),
+    ("sonde", "threshold_fraction", "sonde_threshold_fraction", _number),
+    ("sonde", "noise_std", "sonde_noise_std", _number),
+    ("sonde", "sample_period", "sonde_sample_period", _number),
+    ("sonde", "measure_mode", "measure_mode", _as_given),
+    ("stopping", "gamma", "gamma", _number),
+    ("stopping", "tau_m", "tau_m", _number),
+    ("sim", "dt", "dt", _number),
+    ("sim", "warmup_s", "warmup_s", _number),
+    ("sim", "max_updates", "max_updates", _integer),
+    ("sim", "max_sim_time_s", "max_sim_time_s", _number),
+    ("scenario", "seed", "seed", _integer),
+)
+_SECTIONS = ("workspace", "flow", "source", "usv", "sonde", "planner", "stopping", "sim")
+_OPTIONAL_SECTIONS = ("sonde", "planner", "stopping", "sim")
+# flow.lambda when absent: the molecular diffusivity of a dye in water (m^2/s)
+_DEFAULT_LAMBDA = 4.9e-10
+
+
+def _from_section(section: _Section, cls):
+    """cls built from a section whose keys are its field names. Absent keys
+    take the field defaults; cls starts each ValueError with the field name."""
+    kwargs = {
+        f.name: _CONVERTERS[f.type](section.name, f.name, section.get(f.name))
+        for f in fields(cls)
+        if f.name in section.data or f.default is MISSING
+    }
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{section.name}.{exc}") from exc
+
+
 def scenario_from_dict(data: dict, source_sha256: str | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario: expected a JSON object, got {type(data).__name__}")
     top = _Section("scenario", data)
+    sections = {"scenario": top}
+    for name in _SECTIONS:
+        default = {} if name in _OPTIONAL_SECTIONS else MISSING
+        sections[name] = _Section(name, top.get(name, default))
 
-    ws = _Section("workspace", top.get("workspace"))
+    fl = sections["flow"]
+    v = _pair("flow", "v", fl.get("v"))
+    diffusivity = _number("flow", "lambda", fl.get("lambda", _DEFAULT_LAMBDA))
     try:
-        geometry = GridGeometry(
-            nx=_integer("workspace", "nx", ws.get("nx")),
-            ny=_integer("workspace", "ny", ws.get("ny")),
-            h=_number("workspace", "h", ws.get("h")),
-            origin=_pair("workspace", "origin", ws.get("origin", [0.0, 0.0])),
-        )
+        flow = FlowSpec(v, diffusivity)
     except ValueError as exc:
-        raise ScenarioError(f"workspace: {exc}") from exc
-    ws.finish()
-
-    fl = _Section("flow", top.get("flow"))
-    try:
-        flow = FlowSpec(
-            v=_pair("flow", "v", fl.get("v")),
-            diffusivity=_number("flow", "lambda", fl.get("lambda", 4.9e-10)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"flow: {exc}") from exc
-    eff = fl.get("effective_lambda", None)
-    if eff is not None:
-        eff = _number("flow", "effective_lambda", eff)
-    fl.finish()
-
-    src = _Section("source", top.get("source"))
-    try:
-        source = SourceSpec(
-            position=_pair("source", "position", src.get("position")),
-            rate=_number("source", "rate", src.get("rate")),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"source: {exc}") from exc
-    src.finish()
-
-    usv = _Section("usv", top.get("usv"))
-    usv_start = _pair("usv", "start", usv.get("start"))
-    usv_speed = _number("usv", "speed", usv.get("speed", 2.0))
-    usv.finish()
-
-    sonde = _Section("sonde", top.get("sonde", {}))
-    threshold = sonde.get("threshold", None)
-    if threshold is not None:
-        threshold = _number("sonde", "threshold", threshold)
-    threshold_fraction = _number(
-        "sonde", "threshold_fraction", sonde.get("threshold_fraction", 0.01)
-    )
-    noise_std = _number("sonde", "noise_std", sonde.get("noise_std", 0.0))
-    sample_period = _number("sonde", "sample_period", sonde.get("sample_period", 1.0))
-    measure_mode = sonde.get("measure_mode", "on_arrival")
-    sonde.finish()
-
-    pl = _Section("planner", top.get("planner", {}))
-    try:
-        planner = PlannerParams(
-            window_cells=_integer("planner", "window_cells", pl.get("window_cells", 11)),
-            sigma2_hit=_number("planner", "sigma2_hit", pl.get("sigma2_hit", 1.0)),
-            sigma2_miss=_number("planner", "sigma2_miss", pl.get("sigma2_miss", 4.0)),
-            detection_ceiling=_number(
-                "planner", "detection_ceiling", pl.get("detection_ceiling", 1.0)
-            ),
-            prob_clip=_number("planner", "prob_clip", pl.get("prob_clip", 1e-6)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"planner: {exc}") from exc
-    local_radius = _integer("planner", "local_radius_cells", pl.get("local_radius_cells", 5))
-    pl.finish()
-
-    stop = _Section("stopping", top.get("stopping", {}))
-    gamma = _number("stopping", "gamma", stop.get("gamma", 0.99))
-    tau_m = _number("stopping", "tau_m", stop.get("tau_m", 10.0))
-    stop.finish()
-
-    sim = _Section("sim", top.get("sim", {}))
-    dt = _number("sim", "dt", sim.get("dt", 1.0))
-    warmup_s = _number("sim", "warmup_s", sim.get("warmup_s", 300.0))
-    max_updates = _integer("sim", "max_updates", sim.get("max_updates", 2000))
-    max_sim_time_s = _number("sim", "max_sim_time_s", sim.get("max_sim_time_s", 3600.0))
-    sim.finish()
-
-    seed = _integer("scenario", "seed", top.get("seed", 0))
-    top.finish()
-
-    return Scenario(
-        geometry=geometry,
-        flow=flow,
-        source=source,
-        usv_start=usv_start,
-        usv_speed=usv_speed,
-        effective_diffusivity_override=eff,
-        sonde_threshold=threshold,
-        sonde_threshold_fraction=threshold_fraction,
-        sonde_noise_std=noise_std,
-        sonde_sample_period=sample_period,
-        measure_mode=measure_mode,
-        planner=planner,
-        local_radius_cells=local_radius,
-        gamma=gamma,
-        tau_m=tau_m,
-        dt=dt,
-        warmup_s=warmup_s,
-        max_updates=max_updates,
-        max_sim_time_s=max_sim_time_s,
-        seed=seed,
-        source_sha256=source_sha256,
-    )
+        raise ScenarioError(f"flow.lambda: {exc}") from exc
+    kwargs = {
+        "geometry": _from_section(sections["workspace"], GridGeometry),
+        "flow": flow,
+        "source": _from_section(sections["source"], SourceSpec),
+        "planner": _from_section(sections["planner"], PlannerParams),
+    }
+    required = {f.name for f in fields(Scenario) if f.default is MISSING}
+    for section, key, name, convert in _FLAT_FIELDS:
+        if key in sections[section].data or name in required:
+            kwargs[name] = convert(section, key, sections[section].get(key))
+    for section in sections.values():
+        section.finish()
+    return Scenario(**kwargs, source_sha256=source_sha256)
 
 
 def bundled_scenario_names() -> list[str]:

@@ -35,7 +35,7 @@ from plumetrack.field import ScalarField
 from plumetrack.scenario import with_seed
 from plumetrack.uncertainty import MarginalDist, smallest_credible_interval
 
-from test_planner import brute_force_select, V_HAT
+from test_planner import V_HAT, brute_force_select, random_kernel_params
 
 
 def _ok(num, text):
@@ -134,8 +134,8 @@ def test_criterion_4_sci_oracle_equivalence():
 
 def test_criterion_5_planner_oracle_equivalence():
     rng = np.random.default_rng(424242)
-    params = PlannerParams(window_cells=5)
     for trial in range(50):
+        params = random_kernel_params(rng, window_cells=5)
         nx, ny = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         geom = GridGeometry(nx=nx, ny=ny, h=5.0)
         p = rng.random((ny, nx)) ** 2
@@ -145,15 +145,12 @@ def test_criterion_5_planner_oracle_equivalence():
         if rng.random() < 0.5:
             last_hit = geom.cell_center(int(rng.integers(0, nx)), int(rng.integers(0, ny)))
         ctx = MeasurementContext(
-            usv_pos=geom.cell_center(*usv_cell),
-            v_hat=V_HAT,
-            last_hit_pos=last_hit,
-            local_radius_cells=2,
+            usv_pos=geom.cell_center(*usv_cell), v_hat=V_HAT, last_hit_pos=last_hit
         )
         got = select_waypoint(belief, usv_cell, ctx, params)
         want = brute_force_select(belief, usv_cell, ctx, params)
-        assert got == want, f"trial {trial}: {got} vs brute force {want}"
-    _ok(5, "waypoint selection matches brute-force scoring on 50 random beliefs")
+        assert got == want, f"trial {trial} ({params}): {got} vs brute force {want}"
+    _ok(5, "waypoint selection matches brute-force scoring on 50 random beliefs and kernels")
 
 
 def test_criterion_6_belief_properties(traced_scenario_a_mission):

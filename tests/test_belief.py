@@ -9,6 +9,7 @@ from plumetrack import (
     GridGeometry,
     LikelihoodField,
     MeasurementContext,
+    PlannerParams,
     bayes_update,
     detection_likelihood,
     miss_likelihood,
@@ -21,6 +22,9 @@ PAPER_GRID = GridGeometry(nx=100, ny=50, h=5.0)
 
 def _ctx(usv_pos, v_hat=(1 / math.sqrt(2), 1 / math.sqrt(2)), **kw):
     return MeasurementContext(usv_pos=usv_pos, v_hat=v_hat, **kw)
+
+
+DEFAULT_PARAMS = PlannerParams()
 
 
 def _belief_with(geometry, placements):
@@ -82,21 +86,21 @@ class TestDetectionKernel:
         # vehicle looks straight downwind from the cell, so theta = 0
         geom = GridGeometry(nx=21, ny=21, h=1.0)
         ctx = _ctx(usv_pos=geom.cell_center(10, 10), v_hat=(1.0, 0.0))
-        like = detection_likelihood(ctx, geom)
+        like = detection_likelihood(ctx, geom, DEFAULT_PARAMS)
         assert like.weights[10, 5] == pytest.approx(1.0)
 
     def test_perpendicular_cell_weight(self):
         geom = GridGeometry(nx=21, ny=21, h=1.0)
-        ctx = _ctx(usv_pos=geom.cell_center(10, 10), v_hat=(1.0, 0.0), sigma2_hit=1.0)
-        like = detection_likelihood(ctx, geom)
+        ctx = _ctx(usv_pos=geom.cell_center(10, 10), v_hat=(1.0, 0.0))
+        like = detection_likelihood(ctx, geom, PlannerParams(sigma2_hit=1.0))
         expected = math.exp(-((math.pi / 2) ** 2) / (2 * 1.0))
         assert like.weights[13, 10] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.2912, abs=5e-5)
 
     def test_downwind_cell_weight(self):
         geom = GridGeometry(nx=21, ny=21, h=1.0)
-        ctx = _ctx(usv_pos=geom.cell_center(10, 10), v_hat=(1.0, 0.0), sigma2_hit=1.0)
-        like = detection_likelihood(ctx, geom)
+        ctx = _ctx(usv_pos=geom.cell_center(10, 10), v_hat=(1.0, 0.0))
+        like = detection_likelihood(ctx, geom, PlannerParams(sigma2_hit=1.0))
         expected = math.exp(-(math.pi**2) / 2)
         assert like.weights[10, 13] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(7.19e-3, abs=5e-5)
@@ -105,19 +109,19 @@ class TestDetectionKernel:
         geom = GridGeometry(nx=21, ny=21, h=1.0)
         # vehicle off the cell centre still marks its own cell as consistent
         ctx = _ctx(usv_pos=(0.3, -0.2), v_hat=(0.0, 1.0))
-        like = detection_likelihood(ctx, geom)
+        like = detection_likelihood(ctx, geom, DEFAULT_PARAMS)
         assert like.weights[10, 10] == 1.0
 
     def test_mirror_symmetry_across_wind_axis(self):
         geom = GridGeometry(nx=31, ny=31, h=2.0)
-        ctx = _ctx(usv_pos=geom.cell_center(15, 15), v_hat=(1.0, 0.0), local_radius_cells=15)
-        w = detection_likelihood(ctx, geom).weights
+        ctx = _ctx(usv_pos=geom.cell_center(15, 15), v_hat=(1.0, 0.0))
+        w = detection_likelihood(ctx, geom, PlannerParams(local_radius_cells=15)).weights
         assert np.allclose(w, w[::-1, :], atol=1e-12)
 
     def test_uncovered_cells_copy_nearest_covered(self):
         geom = GridGeometry(nx=41, ny=41, h=1.0)
-        ctx = _ctx(usv_pos=geom.cell_center(20, 20), v_hat=(1.0, 0.0), local_radius_cells=3)
-        w = detection_likelihood(ctx, geom).weights
+        ctx = _ctx(usv_pos=geom.cell_center(20, 20), v_hat=(1.0, 0.0))
+        w = detection_likelihood(ctx, geom, PlannerParams(local_radius_cells=3)).weights
         # far corner copies the nearest covered block corner
         assert w[40, 40] == w[23, 23]
         assert w[0, 20] == w[17, 20]
@@ -129,7 +133,7 @@ class TestMissKernel:
     def test_no_prior_hit_is_uninformative(self):
         geom = GridGeometry(nx=11, ny=11, h=1.0)
         ctx = _ctx(usv_pos=(0.0, 0.0))
-        like = miss_likelihood(ctx, geom)
+        like = miss_likelihood(ctx, geom, DEFAULT_PARAMS)
         assert np.all(like.weights == like.weights[0, 0])
         updated = bayes_update(uniform_belief(geom), like)
         assert np.allclose(updated.probs, 1 / 121, atol=1e-15)
@@ -137,29 +141,21 @@ class TestMissKernel:
     def test_towards_last_hit_gets_peak_weight(self):
         geom = GridGeometry(nx=21, ny=21, h=1.0)
         ctx = _ctx(usv_pos=geom.cell_center(10, 10), last_hit_pos=geom.cell_center(14, 10))
-        like = miss_likelihood(ctx, geom)
+        like = miss_likelihood(ctx, geom, DEFAULT_PARAMS)
         assert like.weights[10, 13] == pytest.approx(1.0)
 
     def test_opposite_last_hit_weight(self):
         geom = GridGeometry(nx=21, ny=21, h=1.0)
-        ctx = _ctx(
-            usv_pos=geom.cell_center(10, 10),
-            last_hit_pos=geom.cell_center(14, 10),
-            sigma2_miss=4.0,
-        )
-        like = miss_likelihood(ctx, geom)
+        ctx = _ctx(usv_pos=geom.cell_center(10, 10), last_hit_pos=geom.cell_center(14, 10))
+        like = miss_likelihood(ctx, geom, PlannerParams(sigma2_miss=4.0))
         expected = math.exp(-(math.pi**2) / (2 * 4.0))
         assert like.weights[10, 6] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.2912, abs=5e-5)
 
     def test_own_cell_takes_covered_minimum(self):
         geom = GridGeometry(nx=21, ny=21, h=1.0)
-        ctx = _ctx(
-            usv_pos=geom.cell_center(10, 10),
-            last_hit_pos=geom.cell_center(14, 10),
-            local_radius_cells=5,
-        )
-        w = miss_likelihood(ctx, geom).weights
+        ctx = _ctx(usv_pos=geom.cell_center(10, 10), last_hit_pos=geom.cell_center(14, 10))
+        w = miss_likelihood(ctx, geom, PlannerParams(local_radius_cells=5)).weights
         block = w[5:16, 5:16]
         assert w[10, 10] == block.min()
 

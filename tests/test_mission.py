@@ -108,10 +108,10 @@ def test_termination_soundness():
     mission = Mission(goal)
     result = mission.run()
     assert result.status == MissionStatus.SUCCEEDED
-    assert result.sci_m[0] <= goal.tau_m and result.sci_m[1] <= goal.tau_m
+    assert result.sci_m[0] <= goal.scenario.tau_m and result.sci_m[1] <= goal.scenario.tau_m
     # every earlier feedback failed the termination test
     for fb in mission.log.feedbacks[:-1]:
-        assert fb.sci_m[0] > goal.tau_m or fb.sci_m[1] > goal.tau_m
+        assert fb.sci_m[0] > goal.scenario.tau_m or fb.sci_m[1] > goal.scenario.tau_m
 
 
 def test_cancel_before_first_update():

@@ -21,12 +21,19 @@ from plumetrack.planner import score_candidates
 V_HAT = (1 / math.sqrt(2), 1 / math.sqrt(2))
 
 
-def _ctx(geom, usv_cell, last_hit=None, radius=5):
+def _ctx(geom, usv_cell, last_hit=None):
     return MeasurementContext(
-        usv_pos=geom.cell_center(*usv_cell),
-        v_hat=V_HAT,
-        last_hit_pos=last_hit,
-        local_radius_cells=radius,
+        usv_pos=geom.cell_center(*usv_cell), v_hat=V_HAT, last_hit_pos=last_hit
+    )
+
+
+def random_kernel_params(rng, **fixed):
+    """PlannerParams with the kernel parameters drawn at random."""
+    return PlannerParams(
+        sigma2_hit=float(rng.uniform(0.2, 4.0)),
+        sigma2_miss=float(rng.uniform(0.5, 8.0)),
+        local_radius_cells=int(rng.integers(0, 4)),
+        **fixed,
     )
 
 
@@ -119,9 +126,7 @@ class TestInformationGain:
         # constant and no hit has happened, so both branches keep the prior
         geom = GridGeometry(nx=5, ny=1, h=1.0)
         belief = uniform_belief(geom)
-        ctx = MeasurementContext(
-            usv_pos=geom.cell_center(3, 0), v_hat=(1.0, 0.0), local_radius_cells=5
-        )
+        ctx = MeasurementContext(usv_pos=geom.cell_center(3, 0), v_hat=(1.0, 0.0))
         score = expected_information_gain(belief, (4, 0), ctx, PlannerParams(window_cells=3))
         assert abs(score.ig) <= 1e-12
 
@@ -149,7 +154,7 @@ class TestInformationGain:
     def test_non_negative_over_random_cases(self):
         rng = np.random.default_rng(123)
         geom = GridGeometry(nx=6, ny=6, h=2.0)
-        params = PlannerParams(window_cells=5)
+        params = PlannerParams(window_cells=5, local_radius_cells=2)
         for _ in range(50):
             p = rng.random((6, 6)) ** 2
             belief = GridBelief(geom, p / p.sum())
@@ -157,7 +162,7 @@ class TestInformationGain:
             last_hit = None
             if rng.random() < 0.5:
                 last_hit = geom.cell_center(int(rng.integers(0, 6)), int(rng.integers(0, 6)))
-            ctx = _ctx(geom, usv_cell, last_hit=last_hit, radius=2)
+            ctx = _ctx(geom, usv_cell, last_hit=last_hit)
             for cand in candidate_waypoints(geom, usv_cell, params):
                 assert expected_information_gain(belief, cand, ctx, params).ig >= -1e-12
 
@@ -184,12 +189,9 @@ def brute_force_select(belief, usv_cell, ctx, params):
 
     def likelihood_fields(cand):
         cx, cy = geom.cell_center(*cand)
-        ilo, ihi = max(cand[0] - ctx.local_radius_cells, 0), min(
-            cand[0] + ctx.local_radius_cells, geom.nx - 1
-        )
-        jlo, jhi = max(cand[1] - ctx.local_radius_cells, 0), min(
-            cand[1] + ctx.local_radius_cells, geom.ny - 1
-        )
+        radius = params.local_radius_cells
+        ilo, ihi = max(cand[0] - radius, 0), min(cand[0] + radius, geom.nx - 1)
+        jlo, jhi = max(cand[1] - radius, 0), min(cand[1] + radius, geom.ny - 1)
 
         det = {}
         for j in range(geom.ny):
@@ -200,7 +202,7 @@ def brute_force_select(belief, usv_cell, ctx, params):
                     det[(i, j)] = 1.0
                 else:
                     th = angle(cx - px, cy - py, ctx.v_hat[0], ctx.v_hat[1])
-                    det[(i, j)] = math.exp(-(th**2) / (2 * ctx.sigma2_hit))
+                    det[(i, j)] = math.exp(-(th**2) / (2 * params.sigma2_hit))
 
         miss = {}
         no_direction = ctx.last_hit_pos is not None and math.hypot(
@@ -217,7 +219,7 @@ def brute_force_select(belief, usv_cell, ctx, params):
                 for i in range(ilo, ihi + 1):
                     px, py = geom.cell_center(i, j)
                     ph = angle(px - cx, py - cy, rx, ry)
-                    raw[(i, j)] = math.exp(-(ph**2) / (2 * ctx.sigma2_miss))
+                    raw[(i, j)] = math.exp(-(ph**2) / (2 * params.sigma2_miss))
             raw[cand] = min(raw.values())
             for j in range(geom.ny):
                 for i in range(geom.nx):
@@ -308,7 +310,6 @@ class TestSelectWaypoint:
             usv_pos=geom.cell_center(20, 20),
             v_hat=V_HAT,
             last_hit_pos=geom.cell_center(18, 18),
-            local_radius_cells=5,
         )
         params = PlannerParams(window_cells=11)
         choice = select_waypoint(belief, (20, 20), ctx, params)
@@ -323,8 +324,8 @@ class TestSelectWaypoint:
 
     def test_matches_brute_force_on_random_beliefs(self):
         rng = np.random.default_rng(777)
-        params = PlannerParams(window_cells=5, prob_clip=1e-6)
         for trial in range(50):
+            params = random_kernel_params(rng, window_cells=5, prob_clip=1e-6)
             nx = int(rng.integers(3, 7))
             ny = int(rng.integers(3, 7))
             geom = GridGeometry(nx=nx, ny=ny, h=2.0)
@@ -336,15 +337,10 @@ class TestSelectWaypoint:
                 last_hit = geom.cell_center(
                     int(rng.integers(0, nx)), int(rng.integers(0, ny))
                 )
-            ctx = MeasurementContext(
-                usv_pos=geom.cell_center(*usv_cell),
-                v_hat=V_HAT,
-                last_hit_pos=last_hit,
-                local_radius_cells=2,
-            )
+            ctx = _ctx(geom, usv_cell, last_hit=last_hit)
             got = select_waypoint(belief, usv_cell, ctx, params)
             want = brute_force_select(belief, usv_cell, ctx, params)
-            assert got == want, f"trial {trial}: planner {got} vs brute force {want}"
+            assert got == want, f"trial {trial} ({params}): planner {got} vs brute force {want}"
 
     def test_determinism(self):
         geom = GridGeometry(nx=12, ny=10, h=3.0)

@@ -62,7 +62,7 @@ class TestValidation:
         assert sc.warmup_s == 300.0
         assert sc.max_updates == 2000
         assert sc.planner.window_cells == 11
-        assert sc.local_radius_cells == 5
+        assert sc.planner.local_radius_cells == 5
         assert sc.sonde_threshold is None
         assert sc.sonde_threshold_fraction == 0.01
         assert sc.measure_mode == "on_arrival"
@@ -144,7 +144,7 @@ class TestRoundTrip:
         cfg["flow"] = {"v": [1.0, 0.5], "lambda": 4.9e-10, "effective_lambda": 0.75}
         sc = scenario_from_dict(cfg)
         assert sc.sonde_threshold == 0.125
-        assert sc.effective_diffusivity() == 0.75
+        assert sc.solver_flow().diffusivity == 0.75
         again = scenario_from_dict(json.loads(serialize_scenario(sc)))
         assert again == sc
 
