@@ -110,11 +110,13 @@ def point_estimate(belief: GridBelief) -> tuple[float, float]:
 def angle_between(ux, uy, wx, wy):
     """Unsigned angle in [0, pi] between vectors (ux, uy) and (wx, wy).
 
-    Scale invariant; the degenerate zero-vector case maps to angle 0.
+    Scale invariant; the degenerate zero-vector case maps to angle 0. A zero
+    vector's dot product can be -0.0, for which arctan2 returns pi: adding
+    0.0 turns it into +0.0.
     """
     cross = ux * wy - uy * wx
     dot = ux * wx + uy * wy
-    return np.arctan2(np.abs(cross), dot)
+    return np.arctan2(np.abs(cross), dot + 0.0)
 
 
 def _covered_block(geometry: GridGeometry, usv_cell, radius):

@@ -237,7 +237,7 @@ CRITERION_9_SHA256 = {
     "trajectory.csv": "b5129a96a4d61c84cad1a15f811f984ba8ae1a983cbcfa541472609b5362def7",
     "uncertainty.csv": "4cc6101d2688df7a59b42f1b081dffb40b19c221fd1786494b63466c83af3b3d",
     "belief_final.csv": "19c0bea06b36dcf710f54e8bf7d03db5b73d08398f3bc22a02a75a6dfb934142",
-    "planner_trace.csv": "d2ea39cb5ac3fa823fc61a370fe387cf32e6d1b606cd7504470a742210c34213",
+    "planner_trace.csv": "d4a4fe9fe1248668ff02a34fc39b7e15b23ddbe9da9338d3777fbd2600659db9",
 }
 
 

@@ -159,6 +159,16 @@ class TestMissKernel:
         block = w[5:16, 5:16]
         assert w[10, 10] == block.min()
 
+    def test_point_symmetry_about_the_vehicle(self):
+        # a last hit strictly south-west of the vehicle mirrors one strictly
+        # north-east; the own cell's zero offset must not see a signed zero
+        geom = GridGeometry(nx=41, ny=41, h=1.0)
+        params = PlannerParams(local_radius_cells=5)
+        usv = geom.cell_center(20, 20)
+        sw = miss_likelihood(_ctx(usv, last_hit_pos=geom.cell_center(13, 17)), geom, params)
+        ne = miss_likelihood(_ctx(usv, last_hit_pos=geom.cell_center(27, 23)), geom, params)
+        assert np.allclose(sw.weights, ne.weights[::-1, ::-1], rtol=0, atol=1e-12)
+
 
 class TestBayesUpdate:
     def test_uniform_likelihood_is_identity(self):

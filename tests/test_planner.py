@@ -185,7 +185,7 @@ def brute_force_select(belief, usv_cell, ctx, params):
     def angle(ax, ay, bx, by):
         cross = ax * by - ay * bx
         dot = ax * bx + ay * by
-        return math.atan2(abs(cross), dot)
+        return math.atan2(abs(cross), dot + 0.0)  # a -0.0 dot is a zero vector, not pi
 
     def likelihood_fields(cand):
         cx, cy = geom.cell_center(*cand)
