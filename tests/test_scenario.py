@@ -124,6 +124,20 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="measure_mode"):
             scenario_from_dict(cfg)
 
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "section, key", [("sim", "warmup_s"), ("sim", "max_sim_time_s"), ("flow", "lambda")]
+    )
+    def test_non_finite_number_rejected(self, tmp_path, section, key, value):
+        # json.loads accepts Infinity and NaN; an infinite warmup never returns
+        cfg = minimal_config()
+        cfg.setdefault(section, {})[key] = float(value)
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(cfg))
+        assert value in path.read_text()
+        with pytest.raises(ScenarioError, match=rf"{section}\.{key}: expected a finite number"):
+            parse_scenario(path)
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
