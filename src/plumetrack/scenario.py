@@ -195,7 +195,6 @@ def _as_given(section, key, value):
     return value
 
 
-# Converter per field type of the dataclasses a section maps onto one to one.
 _CONVERTERS = {int: _integer, float: _number, tuple[float, float]: _pair}
 # (section, key, Scenario field, converter) for every other JSON key that sets
 # one Scenario field; "scenario" is the top level.
@@ -222,13 +221,22 @@ _OPTIONAL_SECTIONS = ("sonde", "planner", "stopping", "sim")
 _DEFAULT_LAMBDA = 4.9e-10
 
 
+# (key, converter, required) per field of the dataclasses a section maps onto
+# one to one, and the Scenario fields without a default
+_SECTION_KEYS = {
+    cls: tuple((f.name, _CONVERTERS[f.type], f.default is MISSING) for f in fields(cls))
+    for cls in (GridGeometry, SourceSpec, PlannerParams)
+}
+_REQUIRED = frozenset(f.name for f in fields(Scenario) if f.default is MISSING)
+
+
 def _from_section(section: _Section, cls):
     """cls built from a section whose keys are its field names. Absent keys
     take the field defaults; cls starts each ValueError with the field name."""
     kwargs = {
-        f.name: _CONVERTERS[f.type](section.name, f.name, section.get(f.name))
-        for f in fields(cls)
-        if f.name in section.data or f.default is MISSING
+        key: convert(section.name, key, section.get(key))
+        for key, convert, required in _SECTION_KEYS[cls]
+        if required or key in section.data
     }
     try:
         return cls(**kwargs)
@@ -258,9 +266,8 @@ def scenario_from_dict(data: dict, source_sha256: str | None = None) -> Scenario
         "source": _from_section(sections["source"], SourceSpec),
         "planner": _from_section(sections["planner"], PlannerParams),
     }
-    required = {f.name for f in fields(Scenario) if f.default is MISSING}
     for section, key, name, convert in _FLAT_FIELDS:
-        if key in sections[section].data or name in required:
+        if key in sections[section].data or name in _REQUIRED:
             kwargs[name] = convert(section, key, sections[section].get(key))
     for section in sections.values():
         section.finish()
