@@ -195,6 +195,7 @@ def _as_given(section, key, value):
     return value
 
 
+# converter per field type of the dataclasses that sections map onto
 _CONVERTERS = {int: _integer, float: _number, tuple[float, float]: _pair}
 # (section, key, Scenario field, converter) for every other JSON key that sets
 # one Scenario field; "scenario" is the top level.
@@ -219,10 +220,10 @@ _SECTIONS = ("workspace", "flow", "source", "usv", "sonde", "planner", "stopping
 _OPTIONAL_SECTIONS = ("sonde", "planner", "stopping", "sim")
 # flow.lambda when absent: the molecular diffusivity of a dye in water (m^2/s)
 _DEFAULT_LAMBDA = 4.9e-10
-
-
-# (key, converter, required) per field of the dataclasses a section maps onto
-# one to one, and the Scenario fields without a default
+# (key, converter, required) per field of GridGeometry, SourceSpec and
+# PlannerParams, whose field names are the keys of the workspace, source and
+# planner sections; and the Scenario fields without a default. Built at
+# import: calling fields() on every parse made parsing about a fifth slower.
 _SECTION_KEYS = {
     cls: tuple((f.name, _CONVERTERS[f.type], f.default is MISSING) for f in fields(cls))
     for cls in (GridGeometry, SourceSpec, PlannerParams)
@@ -233,11 +234,10 @@ _REQUIRED = frozenset(f.name for f in fields(Scenario) if f.default is MISSING)
 def _from_section(section: _Section, cls):
     """cls built from a section whose keys are its field names. Absent keys
     take the field defaults; cls starts each ValueError with the field name."""
-    kwargs = {
-        key: convert(section.name, key, section.get(key))
-        for key, convert, required in _SECTION_KEYS[cls]
-        if required or key in section.data
-    }
+    kwargs = {}
+    for key, convert, required in _SECTION_KEYS[cls]:
+        if required or key in section.data:
+            kwargs[key] = convert(section.name, key, section.get(key))
     try:
         return cls(**kwargs)
     except ValueError as exc:
