@@ -22,7 +22,6 @@ class GridGeometry:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        # each message starts with the field name, which scenario errors extend to a path
         if self.nx < 1:
             raise ValueError(f"nx: must be >= 1, got {self.nx}")
         if self.ny < 1:

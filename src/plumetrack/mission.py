@@ -9,11 +9,9 @@ is a flag checked at update boundaries, safe to set from another thread.
 Everything in the loop is deterministic for a fixed (scenario, seed): the
 random generator is consumed only by sensor noise, which defaults to off.
 
-The goal holds only the scenario. The stopping test (gamma, tau_m) and the
-budgets (max_updates, max_sim_time_s) are scenario fields, and
-MissionGoal.for_scenario(scenario, **overrides) replaces some of them and
-validates the result like a parsed file. The measurement kernels read their
-parameters from the scenario's PlannerParams.
+The goal holds only the scenario, whose fields set the stopping test, the
+budgets and (in its PlannerParams) the kernel parameters;
+MissionGoal.for_scenario(scenario, **overrides) replaces some for one mission.
 """
 
 import enum

@@ -35,12 +35,8 @@ from .grid import GridGeometry
 
 @dataclass(frozen=True)
 class PlannerParams:
-    """Planner settings and the measurement kernel parameters.
-
-    The belief update and the planner's predicted updates both read
-    sigma2_hit, sigma2_miss and local_radius_cells from here, so the model
-    the planner plans against is the one the belief is updated with.
-    """
+    """Planner settings and the measurement kernel parameters, which the belief
+    update and the planner's predicted updates both read from here."""
 
     window_cells: int = 11
     sigma2_hit: float = 1.0

@@ -220,10 +220,8 @@ _SECTIONS = ("workspace", "flow", "source", "usv", "sonde", "planner", "stopping
 _OPTIONAL_SECTIONS = ("sonde", "planner", "stopping", "sim")
 # flow.lambda when absent: the molecular diffusivity of a dye in water (m^2/s)
 _DEFAULT_LAMBDA = 4.9e-10
-# (key, converter, required) per field of GridGeometry, SourceSpec and
-# PlannerParams, whose field names are the keys of the workspace, source and
-# planner sections; and the Scenario fields without a default. Built at
-# import: calling fields() on every parse made parsing about a fifth slower.
+# (key, converter, required) per field of the dataclasses whose field names are
+# section keys, and the required Scenario fields: built once, as fields() is slow
 _SECTION_KEYS = {
     cls: tuple((f.name, _CONVERTERS[f.type], f.default is MISSING) for f in fields(cls))
     for cls in (GridGeometry, SourceSpec, PlannerParams)
