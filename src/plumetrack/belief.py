@@ -12,9 +12,10 @@ cells, built from a Gaussian kernel on angular deviation:
   the cell and the direction to the last above-threshold reading, with
   variance sigma2_miss. Before any detection a miss carries no information.
 
-The kernel only covers a square neighbourhood of the vehicle's cell; every
-cell outside it inherits the weight of the nearest covered cell. Posterior
-updates are plain Bayes products followed by normalization.
+The kernel is computed only on the covered block, the square neighbourhood of
+the vehicle's cell clipped to the grid, and edge-extended to the whole grid:
+every cell outside the block inherits the weight of the nearest covered cell.
+Posterior updates are plain Bayes products followed by normalization.
 
 The kernel parameters sigma2_hit, sigma2_miss and local_radius_cells live on
 planner.PlannerParams (the scenario's `planner` section): the mission's
@@ -119,23 +120,21 @@ def angle_between(ux, uy, wx, wy):
     return np.arctan2(np.abs(cross), dot + 0.0)
 
 
-def _covered_block(geometry: GridGeometry, usv_cell, radius):
-    ci, cj = usv_cell
-    ilo, ihi = max(ci - radius, 0), min(ci + radius, geometry.nx - 1)
-    jlo, jhi = max(cj - radius, 0), min(cj + radius, geometry.ny - 1)
-    return ilo, ihi, jlo, jhi
+def _covered_block(geometry: GridGeometry, usv_pos, radius):
+    """Cell-centre coordinates X, Y of the covered block, the index of the
+    vehicle's cell in them, and the np.pad widths that extend a block array
+    to the grid.
 
-
-def _extend_from_block(geometry: GridGeometry, weights, block):
-    """Give every uncovered cell the weight of its nearest covered cell.
-
-    The covered set is an axis-aligned block, so the Euclidean-nearest
-    covered cell is the componentwise index clamp into the block.
+    The block is axis-aligned, so the Euclidean-nearest covered cell of any
+    cell is its componentwise index clamp into the block: np.pad's edge mode.
     """
-    ilo, ihi, jlo, jhi = block
-    rows = np.clip(np.arange(geometry.ny), jlo, jhi)
-    cols = np.clip(np.arange(geometry.nx), ilo, ihi)
-    return weights[np.ix_(rows, cols)]
+    ui, uj = geometry.cell_of(usv_pos)
+    ilo, ihi = max(ui - radius, 0), min(ui + radius, geometry.nx - 1)
+    jlo, jhi = max(uj - radius, 0), min(uj + radius, geometry.ny - 1)
+    X, Y = geometry.cell_centers()
+    block = np.s_[jlo : jhi + 1, ilo : ihi + 1]
+    pad = ((jlo, geometry.ny - 1 - jhi), (ilo, geometry.nx - 1 - ihi))
+    return X[block], Y[block], (uj - jlo, ui - ilo), pad
 
 
 def detection_likelihood(
@@ -148,13 +147,11 @@ def detection_likelihood(
     cell gets the kernel maximum (a detection right at the source is fully
     consistent).
     """
-    X, Y = geometry.cell_centers()
+    X, Y, own, pad = _covered_block(geometry, ctx.usv_pos, params.local_radius_cells)
     theta = angle_between(ctx.usv_pos[0] - X, ctx.usv_pos[1] - Y, *ctx.v_hat)
     w = np.exp(-(theta**2) / (2.0 * params.sigma2_hit))
-    ui, uj = geometry.cell_of(ctx.usv_pos)
-    w[uj, ui] = 1.0
-    block = _covered_block(geometry, (ui, uj), params.local_radius_cells)
-    return LikelihoodField(geometry, _extend_from_block(geometry, w, block))
+    w[own] = 1.0
+    return LikelihoodField(geometry, np.pad(w, pad, mode="edge"))
 
 
 def miss_likelihood(
@@ -168,22 +165,17 @@ def miss_likelihood(
     vehicle's own cell takes the minimum covered weight, since a miss argues
     against the source being underfoot.
     """
-    ones = np.ones((geometry.ny, geometry.nx))
-    if ctx.last_hit_pos is None:
-        return LikelihoodField(geometry, ones)
-    rx = ctx.last_hit_pos[0] - ctx.usv_pos[0]
-    ry = ctx.last_hit_pos[1] - ctx.usv_pos[1]
+    # before the first detection the "last hit" is the vehicle itself
+    hx, hy = ctx.last_hit_pos or ctx.usv_pos
+    rx, ry = hx - ctx.usv_pos[0], hy - ctx.usv_pos[1]
     if np.hypot(rx, ry) < 1e-12 * geometry.h:
-        # last hit was taken at the current position: no usable direction
-        return LikelihoodField(geometry, ones)
-    X, Y = geometry.cell_centers()
+        # no detection yet, or it was taken here: no usable direction
+        return LikelihoodField(geometry, np.ones((geometry.ny, geometry.nx)))
+    X, Y, own, pad = _covered_block(geometry, ctx.usv_pos, params.local_radius_cells)
     phi = angle_between(X - ctx.usv_pos[0], Y - ctx.usv_pos[1], rx, ry)
     w = np.exp(-(phi**2) / (2.0 * params.sigma2_miss))
-    ui, uj = geometry.cell_of(ctx.usv_pos)
-    block = _covered_block(geometry, (ui, uj), params.local_radius_cells)
-    ilo, ihi, jlo, jhi = block
-    w[uj, ui] = w[jlo : jhi + 1, ilo : ihi + 1].min()
-    return LikelihoodField(geometry, _extend_from_block(geometry, w, block))
+    w[own] = w.min()
+    return LikelihoodField(geometry, np.pad(w, pad, mode="edge"))
 
 
 def bayes_update(belief: GridBelief, like: LikelihoodField) -> GridBelief:
