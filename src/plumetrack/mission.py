@@ -132,7 +132,6 @@ class Mission:
         self.last_hit: tuple[float, float] | None = None
         self._t0 = self.field.time
         self.updates_used = 0
-        self.step_index = 0
 
     # -- action surface ----------------------------------------------------
 
@@ -164,15 +163,11 @@ class Mission:
             return self._result
 
         sc = self.goal.scenario
-        status = None
-        while status is None:
+        while True:
             if self._cancel.is_set():
                 status = MissionStatus.CANCELED
                 break
-            if self.updates_used >= sc.max_updates:
-                status = MissionStatus.ABORTED
-                break
-            if self.sim_time_s > sc.max_sim_time_s:
+            if self.updates_used >= sc.max_updates or self.sim_time_s > sc.max_sim_time_s:
                 status = MissionStatus.ABORTED
                 break
 
@@ -190,16 +185,15 @@ class Mission:
                 self.log.degenerate_updates += 1
                 logger.warning(
                     "degenerate update at step %d (z=%d); prior kept",
-                    self.step_index + 1,
+                    self.updates_used + 1,
                     reading.z,
                 )
             self.updates_used += 1
-            self.step_index += 1
 
             estimate = point_estimate(self.belief)
             widths = sci_widths(self.belief, sc.gamma)
             fb = MissionFeedback(
-                step=self.step_index,
+                step=self.updates_used,
                 sim_time_s=self.sim_time_s,
                 estimate=estimate,
                 sci_m=widths,
@@ -219,14 +213,12 @@ class Mission:
                 break
 
             usv_cell = self.geometry.cell_of(self.usv.position)
-            scores = None
-            if self._collect_trace:
-                scores = score_candidates(self.belief, usv_cell, ctx, sc.planner)
+            scores = score_candidates(self.belief, usv_cell, ctx, sc.planner)
             waypoint_cell = select_waypoint(self.belief, usv_cell, ctx, sc.planner, scores=scores)
-            if scores is not None:
+            if self._collect_trace:
                 for s in scores:
                     self.log.trace.append(
-                        (self.step_index, s.cell[0], s.cell[1], s.p_hit, s.ig,
+                        (self.updates_used, s.cell[0], s.cell[1], s.p_hit, s.ig,
                          int(s.cell == waypoint_cell))
                     )
             waypoint = self.geometry.cell_center(*waypoint_cell)
