@@ -15,7 +15,9 @@ cells, built from a Gaussian kernel on angular deviation:
 The kernel is computed only on the covered block, the square neighbourhood of
 the vehicle's cell clipped to the grid, and edge-extended to the whole grid:
 every cell outside the block inherits the weight of the nearest covered cell.
-Posterior updates are plain Bayes products followed by normalization.
+Posterior updates are plain Bayes products followed by normalization. A
+likelihood that leaves no posterior mass, all-zero weights included, raises
+DegenerateUpdateError, and the mission keeps its prior.
 
 The kernel parameters sigma2_hit, sigma2_miss and local_radius_cells live on
 planner.PlannerParams (the scenario's `planner` section): the mission's
@@ -93,8 +95,6 @@ class LikelihoodField:
             )
         if self.weights.min() < 0:
             raise ValueError("likelihood weights must be non-negative")
-        if not self.weights.max() > 0:
-            raise ValueError("likelihood must have at least one positive weight")
         self.weights.setflags(write=False)
 
 

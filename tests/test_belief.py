@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plumetrack import (
     DegenerateUpdateError,
@@ -16,6 +17,7 @@ from plumetrack import (
     point_estimate,
     uniform_belief,
 )
+from plumetrack.belief import angle_between
 
 PAPER_GRID = GridGeometry(nx=100, ny=50, h=5.0)
 
@@ -170,6 +172,70 @@ class TestMissKernel:
         assert np.allclose(sw.weights, ne.weights[::-1, ::-1], rtol=0, atol=1e-12)
 
 
+def _full_grid_reference(kernel, ctx, geometry, params):
+    """The kernel evaluated on every cell, the own cell set, then every cell
+    given the weight of its index clamp into the covered block."""
+    X, Y = geometry.cell_centers()
+    ux, uy = ctx.usv_pos
+    if kernel is detection_likelihood:
+        theta = angle_between(ux - X, uy - Y, *ctx.v_hat)
+        w = np.exp(-(theta**2) / (2.0 * params.sigma2_hit))
+    else:
+        if ctx.last_hit_pos is None:
+            return np.ones((geometry.ny, geometry.nx))
+        rx, ry = ctx.last_hit_pos[0] - ux, ctx.last_hit_pos[1] - uy
+        if np.hypot(rx, ry) < 1e-12 * geometry.h:
+            return np.ones((geometry.ny, geometry.nx))
+        phi = angle_between(X - ux, Y - uy, rx, ry)
+        w = np.exp(-(phi**2) / (2.0 * params.sigma2_miss))
+    ui, uj = geometry.cell_of(ctx.usv_pos)
+    r = params.local_radius_cells
+    ilo, ihi = max(ui - r, 0), min(ui + r, geometry.nx - 1)
+    jlo, jhi = max(uj - r, 0), min(uj + r, geometry.ny - 1)
+    if kernel is detection_likelihood:
+        w[uj, ui] = 1.0
+    else:
+        w[uj, ui] = w[jlo : jhi + 1, ilo : ihi + 1].min()
+    rows = np.clip(np.arange(geometry.ny), jlo, jhi)
+    cols = np.clip(np.arange(geometry.nx), ilo, ihi)
+    return w[np.ix_(rows, cols)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """Off-lattice vehicle and last hit on a grid with non-integer h and a
+    non-zero origin; radii from 0 to past the grid's extent."""
+    nx, ny = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    h = draw(st.floats(0.1, 10.0).filter(lambda h: not h.is_integer()))
+    origin = draw(st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)))
+    geom = GridGeometry(nx, ny, h, origin if origin != (0.0, 0.0) else (1.5, -0.5))
+    (x0, x1), (y0, y1) = geom.x_bounds, geom.y_bounds
+    position = st.tuples(st.floats(x0, x1), st.floats(y0, y1))
+    usv = draw(position)
+    wind = draw(st.floats(0.0, 2.0 * math.pi))
+    ctx = MeasurementContext(
+        usv_pos=usv,
+        v_hat=(math.cos(wind), math.sin(wind)),
+        last_hit_pos=draw(st.one_of(st.none(), st.just(usv), position)),
+    )
+    params = PlannerParams(
+        sigma2_hit=draw(st.floats(0.01, 10.0)),
+        sigma2_miss=draw(st.floats(0.01, 10.0)),
+        local_radius_cells=draw(st.integers(0, max(nx, ny) + 3)),
+    )
+    return ctx, geom, params
+
+
+class TestKernelsOnTheCoveredBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_equal_to_full_grid_evaluation_then_clamp(self, case):
+        ctx, geom, params = case
+        for kernel in (detection_likelihood, miss_likelihood):
+            expected = _full_grid_reference(kernel, ctx, geom, params)
+            assert np.array_equal(kernel(ctx, geom, params).weights, expected)
+
+
 class TestBayesUpdate:
     def test_uniform_likelihood_is_identity(self):
         geom = GridGeometry(nx=10, ny=6, h=1.0)
@@ -198,9 +264,11 @@ class TestBayesUpdate:
     def test_degenerate_update_raises(self):
         geom = GridGeometry(nx=2, ny=1, h=1.0)
         b = GridBelief(geom, np.array([[1.0, 0.0]]))
-        like = LikelihoodField(geom, np.array([[0.0, 1.0]]))
-        with pytest.raises(DegenerateUpdateError):
-            bayes_update(b, like)
+        # disjoint support, and an all-zero field (an underflowed kernel)
+        for weights in ([[0.0, 1.0]], [[0.0, 0.0]]):
+            like = LikelihoodField(geom, np.array(weights))
+            with pytest.raises(DegenerateUpdateError):
+                bayes_update(b, like)
 
     def test_geometry_mismatch_raises(self):
         b = uniform_belief(GridGeometry(nx=2, ny=2, h=1.0))
