@@ -99,6 +99,12 @@ class Scenario:
             raise ScenarioError(f"stopping.gamma: must be in (0, 1), got {self.gamma}")
         if not self.tau_m > 0:
             raise ScenarioError(f"stopping.tau_m: must be positive, got {self.tau_m}")
+        if self.geometry.k == 1 and self.geometry.h > self.tau_m:
+            # the SCI widths stay h and there is no other cell to move to
+            raise ScenarioError(
+                f"workspace: a 1x1 grid offers no waypoint, so its h = {self.geometry.h} "
+                f"must not exceed stopping.tau_m = {self.tau_m}"
+            )
         if not self.dt > 0:
             raise ScenarioError(f"sim.dt: must be positive, got {self.dt}")
         if self.effective_diffusivity_override is not None and self.effective_diffusivity_override < 0:
@@ -170,9 +176,13 @@ class _Section:
 def _number(section, key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{section}.{key}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
         raise ScenarioError(f"{section}.{key}: expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _optional_number(section, key, value):

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from plumetrack import Scenario, ScenarioError, parse_scenario, scenario_from_dict
+from plumetrack import (
+    MissionGoal,
+    MissionStatus,
+    Scenario,
+    ScenarioError,
+    parse_scenario,
+    run_mission,
+    scenario_from_dict,
+)
 from plumetrack.scenario import (
     bundled_scenario_names,
     resolve_scenario_path,
@@ -124,19 +132,35 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="measure_mode"):
             scenario_from_dict(cfg)
 
-    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    @pytest.mark.parametrize("value", ["Infinity", "NaN", pytest.param("9" * 401, id="9x401")])
     @pytest.mark.parametrize(
         "section, key", [("sim", "warmup_s"), ("sim", "max_sim_time_s"), ("flow", "lambda")]
     )
     def test_non_finite_number_rejected(self, tmp_path, section, key, value):
-        # json.loads accepts Infinity and NaN; an infinite warmup never returns
+        # json.loads accepts Infinity and NaN; an infinite warmup never returns.
+        # A 401-digit integer overflows a float.
         cfg = minimal_config()
-        cfg.setdefault(section, {})[key] = float(value)
+        cfg.setdefault(section, {})[key] = json.loads(value)
         path = tmp_path / "non_finite.json"
         path.write_text(json.dumps(cfg))
         assert value in path.read_text()
         with pytest.raises(ScenarioError, match=rf"{section}\.{key}: expected a finite number"):
             parse_scenario(path)
+
+    def test_single_cell_grid_needs_tau_at_least_h(self):
+        # one cell offers no waypoint: the SCI widths (h, h) must pass at once
+        cfg = minimal_config(
+            workspace={"nx": 1, "ny": 1, "h": 5.0},
+            source={"position": [0.0, 0.0], "rate": 1.0},
+            usv={"start": [1.0, 1.0]},
+            stopping={"tau_m": 4.9},
+        )
+        with pytest.raises(ScenarioError, match=r"workspace: a 1x1 grid"):
+            scenario_from_dict(cfg)
+        cfg["stopping"] = {"tau_m": 5.0}
+        result = run_mission(MissionGoal(scenario_from_dict(cfg)))
+        assert result.status == MissionStatus.SUCCEEDED
+        assert result.updates == 1
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
