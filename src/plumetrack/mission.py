@@ -105,7 +105,6 @@ class Mission:
         self._feedback_cb = feedback
         self._collect_trace = collect_trace
         self._cancel = threading.Event()
-        self._done = threading.Event()
         self._thread: threading.Thread | None = None
         self._result: TrackResult | None = None
         self.log = MissionLog()
@@ -136,8 +135,8 @@ class Mission:
     # -- action surface ----------------------------------------------------
 
     def start(self) -> "Mission":
-        """Run the loop on a background thread; pair with result()."""
-        if self._thread is None and not self._done.is_set():
+        """Run the loop on a background thread; pair with result() or run()."""
+        if self._thread is None and self._result is None:
             self._thread = threading.Thread(target=self.run, daemon=True)
             self._thread.start()
         return self
@@ -159,6 +158,9 @@ class Mission:
     # -- the loop ----------------------------------------------------------
 
     def run(self) -> TrackResult:
+        """Run the loop to its end; after start(), wait for its thread instead."""
+        if self._thread is not None and self._thread is not threading.current_thread():
+            return self.result()
         if self._result is not None:
             return self._result
 
@@ -240,7 +242,6 @@ class Mission:
             updates=self.updates_used,
             sim_time_s=self.sim_time_s,
         )
-        self._done.set()
         return self._result
 
     def _travel(self, waypoint):
@@ -271,6 +272,4 @@ def cancel_mission(mission: Mission) -> TrackResult:
     started runs inline just far enough to honour the cancellation.
     """
     mission.cancel()
-    if mission._thread is None and not mission._done.is_set():
-        return mission.run()
-    return mission.result()
+    return mission.run()

@@ -8,6 +8,7 @@ from plumetrack import (
     Mission,
     MissionGoal,
     MissionStatus,
+    TrackResult,
     cancel_mission,
     run_mission,
     scenario_from_dict,
@@ -161,6 +162,26 @@ def test_cancel_from_another_thread():
     assert barrier.wait(timeout=30.0)
     result = cancel_mission(mission)
     assert result.status in (MissionStatus.CANCELED, MissionStatus.SUCCEEDED)
+
+
+def test_run_after_start_waits_for_the_mission_thread():
+    # run() used to start a second loop on the same state beside the thread
+    goal = MissionGoal.for_scenario(small_scenario())
+    for _ in range(5):
+        fb = []
+        mission = Mission(goal, feedback=fb.append).start()
+        result = mission.run()
+        assert result == mission.result()
+        assert [f.step for f in fb] == list(range(1, result.updates + 1))
+
+
+def test_underflowing_miss_kernel_keeps_the_prior():
+    # sigma2_miss = 1e-9 zeroes whole predicted miss likelihoods; an all-zero
+    # field is a degenerate update, not an invalid one
+    sc = small_scenario(planner={"sigma2_miss": 1e-9})
+    result = run_mission(MissionGoal.for_scenario(sc))
+    assert isinstance(result, TrackResult)
+    assert result.status == MissionStatus.SUCCEEDED
 
 
 def test_belief_normalized_throughout():
