@@ -183,8 +183,8 @@ def select_waypoint(
     """Candidate cell with maximal gain; deterministic tie-breaks.
 
     Scores within 1e-12 of the maximum count as tied and resolve by squared
-    cell distance to usv_cell, then row-major (flat) cell index. Pass
-    precomputed scores to avoid scoring twice when tracing.
+    cell distance to usv_cell, then row-major (flat) cell index. Pass the
+    score_candidates result as scores to reuse it; the mission does.
     """
     if scores is None:
         scores = score_candidates(belief, usv_cell, ctx, params)
