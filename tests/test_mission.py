@@ -165,7 +165,7 @@ def test_cancel_from_another_thread():
 
 
 def test_run_after_start_waits_for_the_mission_thread():
-    # run() used to start a second loop on the same state beside the thread
+    # run() after start() waits for that thread; a second loop would share its state
     goal = MissionGoal.for_scenario(small_scenario())
     for _ in range(5):
         fb = []
