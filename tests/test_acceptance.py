@@ -258,6 +258,37 @@ def test_criterion_9_cli_determinism(tmp_path):
     _ok(9, f"repeated runs byte-identical and equal to the {len(digests[0])} pinned digests")
 
 
+# The same five artifacts for the other bundled scenarios, one run each: the
+# repeat-run check above covers determinism, these pin the bytes of a second
+# tracking run and of a 300-update search without a detection.
+CRITERION_9_OTHER_SHA256 = {
+    "scenario_b": {
+        "metrics.json": "27ca2f865516e6005b18dfc189e30b950cc568347a3e674008acc264f01ea531",
+        "trajectory.csv": "e39d0fa7ebe9afb2b68cbe52d19683fb4e824c3ffc513d9ee5bbc40af7179c2d",
+        "uncertainty.csv": "8cb1b1afd6cf7f579548028a14ecb34ea019b18db347a2c2730381a8477590ea",
+        "belief_final.csv": "017e50c8b6365c4f164a00a3e15f93dea1c0c11cfe441f9203a8224c2bffc97d",
+        "planner_trace.csv": "3957785ef4239be2419a7280868f584cd10e6b1ea81c5406b88217d801e9b43e",
+    },
+    "scenario_upwind": {
+        "metrics.json": "5939f7fd19fa15e877c8273235811c51df68ac5ef0022ab105f389bd804b6acf",
+        "trajectory.csv": "c99ab954ed3fd95b5a4a583300aa062e199d0075fb528aafeb87c8015f613e27",
+        "uncertainty.csv": "7b7bb96d82892d9a712f71944d39a7abc0f0036ad68795c0941279e21b0d59ed",
+        "belief_final.csv": "5d368d6910306651479148cdf622c83aefe6fe2b3fefb7658048416bb61d50a8",
+        "planner_trace.csv": "f3007d11d402cea0ca877ec46ad3e95971575b53555170f3038711cb6f2b14b7",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRITERION_9_OTHER_SHA256))
+def test_criterion_9_other_bundled_scenarios_pinned(tmp_path, name):
+    pinned = CRITERION_9_OTHER_SHA256[name]
+    argv = ["run", "--scenario", name, "--seed", "0", "--trace", "--out", str(tmp_path)]
+    main(argv)  # scenario_upwind aborts on its budget and exits 1
+    got = {n: hashlib.sha256((tmp_path / n).read_bytes()).hexdigest() for n in pinned}
+    assert got == pinned
+    _ok(9, f"{name}: {len(got)} artifacts equal to the pinned digests")
+
+
 def test_criterion_10_runtime_and_success_rate_not_reproduced(tmp_path):
     # wall-clock runtime targets and sub-100% success rates from real-time
     # middleware stacks are out of scope by design: this build is
