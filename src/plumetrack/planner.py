@@ -13,23 +13,31 @@ the grid would place detectable plume at the candidate, using the same
 angular detection kernel as the measurement model. The candidate with the
 largest gain wins; ties break towards the nearest candidate and then
 row-major cell order, so selection is fully deterministic.
+
+One pass scores every candidate, at a cost per candidate that does not grow
+with the grid. A reading's likelihood is computed on its covered block, the
+(2r+1)^2 cells around the reading's cell, and edge-extended to the grid, so a
+full-grid sum over the belief is a sum over the block in which block cell b
+carries P_b, the belief mass that clamps onto it. With block weights w_b,
+Z = sum_b P_b * w_b and post_b = P_b * w_b / Z,
+
+    KL(posterior || belief) = sum_b post_b * log(post_b / P_b)
+
+and a branch with Z = 0, a degenerate update, adds nothing. Along each axis a
+clamp region runs from the block edge to the grid border, or is the cell
+itself, so P_b is read from cumulative sums of the belief anchored at that
+border. A summed-area table would take P_b as a difference of partial sums of
+order one, and cancellation would lose small masses. The hit kernel of p_hit
+is not clamped, so p_hit stays a full-grid product with a slice of one kernel
+table, per candidate.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .belief import (
-    DegenerateUpdateError,
-    GridBelief,
-    LikelihoodField,
-    MeasurementContext,
-    angle_between,
-    bayes_update,
-    detection_likelihood,
-    miss_likelihood,
-)
+from .belief import GridBelief, LikelihoodField, MeasurementContext, angle_between
 from .grid import GridGeometry
 
 
@@ -103,25 +111,47 @@ def _hit_kernel_table(geometry: GridGeometry, v_hat: tuple[float, float], sigma2
     return table
 
 
-def _hit_kernel_at(geometry: GridGeometry, candidate, v_hat, sigma2):
-    ci, cj = candidate
-    table = _hit_kernel_table(geometry, tuple(v_hat), sigma2)
-    return table[cj : cj + geometry.ny, ci : ci + geometry.nx][::-1, ::-1]
+def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) -> list[float]:
+    """predicted_hit_probability for each cell, through one reused product buffer."""
+    geom = belief.geometry
+    table = _hit_kernel_table(geom, tuple(v_hat), params.sigma2_hit)
+    product = np.empty_like(belief.probs)
+    lo, hi = params.prob_clip, 1.0 - params.prob_clip
+    out = []
+    for ci, cj in cells:
+        kernel = table[cj : cj + geom.ny, ci : ci + geom.nx][::-1, ::-1]
+        np.multiply(belief.probs, kernel, out=product)
+        out.append(min(max(params.detection_ceiling * float(product.sum()), lo), hi))
+    return out
 
 
 def predicted_hit_probability(
     belief: GridBelief, candidate: tuple[int, int], v_hat, params: PlannerParams
 ) -> float:
     """Belief-weighted chance that a measurement at the candidate comes up hot."""
-    kernel = _hit_kernel_at(belief.geometry, candidate, v_hat, params.sigma2_hit)
-    p = params.detection_ceiling * float(np.sum(belief.probs * kernel))
-    return min(max(p, params.prob_clip), 1.0 - params.prob_clip)
+    return _hit_probabilities(belief, [candidate], v_hat, params)[0]
 
 
-def _kl(post: np.ndarray, prior: np.ndarray) -> float:
-    # cells with zero posterior contribute nothing; post > 0 implies prior > 0
-    mask = post > 0
-    return float(np.sum(post[mask] * np.log(post[mask] / prior[mask])))
+def _update_kl(mass: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """KL(posterior || prior) per row, for the update of a prior whose mass
+    mass[c, b] carries likelihood weight w[c, b]; 0 for a degenerate update.
+
+    The posterior mass of b is post_b = mass_b * w_b / Z, Z = sum_b mass_b * w_b,
+    and every cell inside b has the same posterior-to-prior ratio w_b / Z, so
+    KL = sum_b post_b * (log(post_b) - log(mass_b)). Entries of zero posterior
+    add nothing. The difference of logs cannot overflow where a ratio would, on
+    a prior mass below the smallest normal float.
+    """
+    mw = mass * w
+    z = mw.sum(axis=1)
+    kl = np.zeros_like(z)
+    ok = z > 0
+    post = mw[ok] / z[ok, None]
+    live = post > 0
+    log_post = np.log(post, out=np.zeros_like(post), where=live)
+    log_mass = np.log(mass[ok], out=np.zeros_like(post), where=live)
+    kl[ok] = (post * (log_post - log_mass)).sum(axis=1)
+    return kl
 
 
 def information_gain(
@@ -135,14 +165,98 @@ def information_gain(
     A degenerate branch (likelihood annihilates the prior) keeps the prior
     and contributes zero gain.
     """
-    total = 0.0
-    for weight, like in ((p_hit, hit_like), (1.0 - p_hit, miss_like)):
-        try:
-            post = bayes_update(belief, like)
-        except DegenerateUpdateError:
-            continue
-        total += weight * _kl(post.probs, belief.probs)
-    return total
+    mass = belief.probs.reshape(1, -1)
+    kl_hit = _update_kl(mass, hit_like.weights.reshape(1, -1))[0]
+    kl_miss = _update_kl(mass, miss_like.weights.reshape(1, -1))[0]
+    return float(p_hit * kl_hit + (1.0 - p_hit) * kl_miss)
+
+
+def _clamped_mass_tables(probs: np.ndarray) -> np.ndarray:
+    """Sums of probs over the cells that clamp onto a block cell, shape (3, 3, ny, nx).
+
+    Along each axis a block cell's clamp region is the axis up to it (the
+    block's low edge), the cell itself, or the axis from it on (the high
+    edge); kinds 0, 1 and 2, rows first. Entry [ky, kx, j, i] sums probs over
+    the product of those regions through (j, i). Every sum is a cumulative sum
+    anchored at the grid border its region runs to, so a small mass is never
+    the difference of two large partial sums.
+    """
+
+    def kinds(a, axis):
+        suffix = np.flip(np.cumsum(np.flip(a, axis), axis), axis)
+        return np.cumsum(a, axis), a, suffix
+
+    return np.array([kinds(t, 0) for t in kinds(probs, 1)]).transpose(1, 0, 2, 3)
+
+
+def _block_axis(c: np.ndarray, r: int, n: int):
+    """One axis of the covered blocks of cells c: the block's cell indices
+    (C, min(2r+1, n)), which of them lie in the grid, the clamp-region kind
+    and the table index that reads each block cell's mass, and the index of c
+    in its block."""
+    lo, hi = np.maximum(c - r, 0), np.minimum(c + r, n - 1)
+    idx = lo[:, None] + np.arange(min(2 * r + 1, n))
+    valid = idx <= hi[:, None]
+    idx = np.minimum(idx, n - 1)
+    kind = np.where(idx == lo[:, None], 0, np.where(idx == hi[:, None], 2, 1))
+    # a one-cell-wide block takes the whole axis: the prefix sum at its end
+    read = np.where((lo == hi)[:, None], n - 1, idx)
+    return idx, valid, kind, read, c - lo
+
+
+def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerParams):
+    """Scores of the given cells, all at once.
+
+    The kernels of a reading at a cell are edge-extended from its covered
+    block, so each full-grid sum over the prior is a sum over the block with
+    the prior mass that clamps onto each block cell. The block weights are
+    computed as detection_likelihood and miss_likelihood compute them, from
+    cell-centre differences taken in the same order.
+    """
+    geom = belief.geometry
+    X, Y = geom.cell_centers()
+    xs, ys = X[0], Y[:, 0]
+    ci, cj = np.array(cells, dtype=int).reshape(-1, 2).T
+    r = params.local_radius_cells
+    cols, valid_x, kind_x, read_x, own_i = _block_axis(ci, r, geom.nx)
+    rows, valid_y, kind_y, read_y, own_j = _block_axis(cj, r, geom.ny)
+    own = (np.arange(len(cells)), own_j, own_i)
+    valid = valid_y[:, :, None] & valid_x[:, None, :]
+    tables = _clamped_mass_tables(belief.probs)
+    mass = tables[kind_y[:, :, None], kind_x[:, None, :], read_y[:, :, None], read_x[:, None, :]]
+    mass[~valid] = 0.0
+
+    # angles as in angle_between; cross and dot of rows and columns apart
+    cx, cy = xs[ci][:, None], ys[cj][:, None]
+    vx, vy = ctx.v_hat
+    dx, dy = cx - xs[cols], cy - ys[rows]
+    cross = (dx * vy)[:, None, :] - (dy * vx)[:, :, None]
+    dot = (dx * vx)[:, None, :] + (dy * vy)[:, :, None]
+    theta = np.arctan2(np.abs(cross), dot + 0.0)
+    w_hit = np.exp(-(theta**2) / (2.0 * params.sigma2_hit))
+    w_hit[own] = 1.0
+
+    # before the first detection the "last hit" is the candidate itself
+    hx, hy = ctx.last_hit_pos or (cx, cy)
+    rx, ry = hx - cx, hy - cy
+    ex, ey = xs[cols] - cx, ys[rows] - cy
+    cross = (ex * ry)[:, None, :] - (ey * rx)[:, :, None]
+    dot = (ex * rx)[:, None, :] + (ey * ry)[:, :, None]
+    phi = np.arctan2(np.abs(cross), dot + 0.0)
+    w_miss = np.exp(-(phi**2) / (2.0 * params.sigma2_miss))
+    w_miss[own] = np.where(valid, w_miss, np.inf).min(axis=(1, 2))
+    # no detection yet, or it was taken at the candidate: no usable direction
+    blind = np.hypot(rx, ry)[:, 0] < 1e-12 * geom.h
+    w_miss[blind] = 1.0
+
+    mass = mass.reshape(len(cells), -1)
+    kl_hit = _update_kl(mass, w_hit.reshape(len(cells), -1))
+    kl_miss = _update_kl(mass, w_miss.reshape(len(cells), -1))
+    p_hits = _hit_probabilities(belief, cells, ctx.v_hat, params)
+    return [
+        CandidateScore(cell=cell, ig=float(p * kh + (1.0 - p) * km), p_hit=p)
+        for cell, p, kh, km in zip(cells, p_hits, kl_hit, kl_miss)
+    ]
 
 
 def expected_information_gain(
@@ -152,13 +266,7 @@ def expected_information_gain(
     params: PlannerParams,
 ) -> CandidateScore:
     """Score one candidate, evaluating the kernels as if the USV were there."""
-    geom = belief.geometry
-    cand_ctx = replace(ctx, usv_pos=geom.cell_center(*candidate))
-    hit_like = detection_likelihood(cand_ctx, geom, params)
-    miss_like = miss_likelihood(cand_ctx, geom, params)
-    p_hit = predicted_hit_probability(belief, candidate, ctx.v_hat, params)
-    ig = information_gain(belief, hit_like, miss_like, p_hit)
-    return CandidateScore(cell=candidate, ig=ig, p_hit=p_hit)
+    return _score(belief, [candidate], ctx, params)[0]
 
 
 def score_candidates(
@@ -167,10 +275,7 @@ def score_candidates(
     ctx: MeasurementContext,
     params: PlannerParams,
 ) -> list[CandidateScore]:
-    return [
-        expected_information_gain(belief, cand, ctx, params)
-        for cand in candidate_waypoints(belief.geometry, usv_cell, params)
-    ]
+    return _score(belief, candidate_waypoints(belief.geometry, usv_cell, params), ctx, params)
 
 
 def select_waypoint(
