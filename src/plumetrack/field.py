@@ -33,9 +33,9 @@ class FlowSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.v[0]) and math.isfinite(self.v[1])):
-            raise ValueError(f"flow velocity must be finite, got {self.v}")
-        if self.diffusivity < 0:
-            raise ValueError(f"diffusivity must be >= 0, got {self.diffusivity}")
+            raise ValueError(f"v: must be finite, got {self.v}")
+        if not 0 <= self.diffusivity < math.inf:
+            raise ValueError(f"diffusivity: must be finite and >= 0, got {self.diffusivity}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,10 @@ class SourceSpec:
     rate: float
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"rate: must be >= 0, got {self.rate}")
+        if not (math.isfinite(self.position[0]) and math.isfinite(self.position[1])):
+            raise ValueError(f"position: must be finite, got {self.position}")
+        if not 0 <= self.rate < math.inf:
+            raise ValueError(f"rate: must be finite and >= 0, got {self.rate}")
 
 
 @dataclass

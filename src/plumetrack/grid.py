@@ -1,5 +1,6 @@
 """Workspace grid geometry shared by the plume field and the source belief."""
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,8 +27,10 @@ class GridGeometry:
             raise ValueError(f"nx: must be >= 1, got {self.nx}")
         if self.ny < 1:
             raise ValueError(f"ny: must be >= 1, got {self.ny}")
-        if not self.h > 0:
-            raise ValueError(f"h: must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"h: must be positive and finite, got {self.h}")
+        if not (math.isfinite(self.origin[0]) and math.isfinite(self.origin[1])):
+            raise ValueError(f"origin: must be finite, got {self.origin}")
 
     @property
     def k(self) -> int:

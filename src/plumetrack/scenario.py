@@ -32,6 +32,7 @@ for one mission and validates the result as a parsed file would be.
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -73,6 +74,12 @@ class Scenario:
     source_sha256: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        # a parsed file cannot hold one, but a replace() or a direct call can
+        for section, key, name, _ in _FLAT_FIELDS:
+            value = getattr(self, name)
+            parts = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in parts if isinstance(v, float)):
+                raise ScenarioError(f"{section}.{key}: must be finite, got {value}")
         if not self.geometry.contains(self.source.position):
             raise ScenarioError(
                 f"source.position: {self.source.position} lies outside the workspace"
@@ -93,7 +100,8 @@ class Scenario:
             raise ScenarioError("sonde.sample_period: must be positive")
         if self.measure_mode not in MEASURE_MODES:
             raise ScenarioError(
-                f"sonde.measure_mode: expected one of {MEASURE_MODES}, got {self.measure_mode!r}"
+                f"sonde.measure_mode: expected one of {MEASURE_MODES}, "
+                f"got {reprlib.repr(self.measure_mode)}"
             )
         if not 0 < self.gamma < 1:
             raise ScenarioError(f"stopping.gamma: must be in (0, 1), got {self.gamma}")
@@ -170,18 +178,18 @@ class _Section:
     def finish(self):
         unknown = set(self.data) - self.seen
         if unknown:
-            raise ScenarioError(f"{self.name}: unknown key(s) {sorted(unknown)}")
+            raise ScenarioError(f"{self.name}: unknown key(s) {reprlib.repr(sorted(unknown))}")
 
 
 def _number(section, key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{section}.{key}: expected a number, got {value!r}")
+        raise ScenarioError(f"{section}.{key}: expected a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer too large for a float
         number = math.inf
     if not math.isfinite(number):
-        raise ScenarioError(f"{section}.{key}: expected a finite number, got {value!r}")
+        raise ScenarioError(f"{section}.{key}: expected a finite number, got {reprlib.repr(value)}")
     return number
 
 
@@ -191,13 +199,13 @@ def _optional_number(section, key, value):
 
 def _integer(section, key, value):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{section}.{key}: expected an integer, got {value!r}")
+        raise ScenarioError(f"{section}.{key}: expected an integer, got {reprlib.repr(value)}")
     return value
 
 
 def _pair(section, key, value):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ScenarioError(f"{section}.{key}: expected a pair [x, y], got {value!r}")
+        raise ScenarioError(f"{section}.{key}: expected a pair [x, y], got {reprlib.repr(value)}")
     return (_number(section, key, value[0]), _number(section, key, value[1]))
 
 
@@ -266,8 +274,8 @@ def scenario_from_dict(data: dict, source_sha256: str | None = None) -> Scenario
     diffusivity = _number("flow", "lambda", fl.get("lambda", _DEFAULT_LAMBDA))
     try:
         flow = FlowSpec(v, diffusivity)
-    except ValueError as exc:
-        raise ScenarioError(f"flow.lambda: {exc}") from exc
+    except ValueError as exc:  # FlowSpec's diffusivity is the file's flow.lambda
+        raise ScenarioError(f"flow.lambda{str(exc).removeprefix('diffusivity')}") from exc
     kwargs = {
         "geometry": _from_section(sections["workspace"], GridGeometry),
         "flow": flow,

@@ -1,16 +1,24 @@
 import json
+import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from plumetrack import (
+    FlowSpec,
+    GridGeometry,
     MissionGoal,
     MissionStatus,
     Scenario,
     ScenarioError,
     parse_scenario,
     run_mission,
+    SourceSpec,
     scenario_from_dict,
 )
+from plumetrack.cli import main
 from plumetrack.scenario import (
     bundled_scenario_names,
     resolve_scenario_path,
@@ -167,6 +175,62 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(ScenarioError, match="line"):
             parse_scenario(path)
+
+
+# Objects built without a file skip the parser's finite-number check, so each
+# dataclass rejects a non-finite value itself, naming the field.
+NON_FINITE_FIELDS = {
+    # an infinite warmup never returns from Mission()
+    "warmup_s=inf": (lambda sc: MissionGoal.for_scenario(sc, warmup_s=math.inf), "sim.warmup_s"),
+    # a NaN budget compares false and disables the time limit
+    "max_sim_time_s=nan": (
+        lambda sc: MissionGoal.for_scenario(sc, max_sim_time_s=math.nan),
+        "sim.max_sim_time_s",
+    ),
+    "usv_speed=inf": (lambda sc: replace(sc, usv_speed=math.inf), "usv.speed"),
+    "tau_m=inf": (lambda sc: replace(sc, tau_m=math.inf), "stopping.tau_m"),
+    "usv_start=nan": (lambda sc: replace(sc, usv_start=(math.nan, 0.0)), "usv.start"),
+    "noise_std=inf": (lambda sc: replace(sc, sonde_noise_std=math.inf), "sonde.noise_std"),
+    "effective_lambda=nan": (
+        lambda sc: replace(sc, effective_diffusivity_override=math.nan),
+        "flow.effective_lambda",
+    ),
+    "source.rate=nan": (lambda sc: SourceSpec((0.0, 0.0), math.nan), "rate"),
+    "source.position=nan": (lambda sc: SourceSpec((math.nan, 0.0), 1.0), "position"),
+    "flow.diffusivity=nan": (lambda sc: FlowSpec((1.0, 0.0), math.nan), "diffusivity"),
+    "flow.diffusivity=inf": (lambda sc: FlowSpec((1.0, 0.0), math.inf), "diffusivity"),
+    "workspace.h=inf": (lambda sc: GridGeometry(4, 4, math.inf), "h"),
+    "workspace.origin=nan": (lambda sc: GridGeometry(4, 4, 1.0, (0.0, math.nan)), "origin"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_FIELDS))
+def test_non_finite_field_rejected(case):
+    build, field_path = NON_FINITE_FIELDS[case]
+    sc = scenario_from_dict(minimal_config())
+    with pytest.raises(ValueError, match=rf"^{re.escape(field_path)}: "):
+        build(sc)
+
+
+# (key path, JSON value) whose error line once echoed the whole value
+LONG_VALUES = {
+    "source.rate": int("9" * 401),
+    "sim.max_updates": "7" * 5000,
+    "usv.start": [1.0] * 3000,
+}
+
+
+@pytest.mark.parametrize("key_path", sorted(LONG_VALUES))
+def test_error_line_quotes_a_bounded_value(tmp_path, monkeypatch, capsys, key_path):
+    section, key = key_path.split(".")
+    cfg = minimal_config()
+    cfg.setdefault(section, {})[key] = LONG_VALUES[key_path]
+    monkeypatch.chdir(tmp_path)
+    Path("long.json").write_text(json.dumps(cfg))
+    assert main(["validate", "--scenario", "long.json"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and all(len(line) < 200 for line in lines), lines
+    assert key_path in lines[0]
 
 
 class TestRoundTrip:
