@@ -142,16 +142,13 @@ def _update_kl(mass: np.ndarray, w: np.ndarray) -> np.ndarray:
     add nothing. The difference of logs cannot overflow where a ratio would, on
     a prior mass below the smallest normal float.
     """
-    mw = mass * w
-    z = mw.sum(axis=1)
-    kl = np.zeros_like(z)
-    ok = z > 0
-    post = mw[ok] / z[ok, None]
+    post = mass * w
+    z = post.sum(axis=1, keepdims=True)
+    post /= np.where(z > 0, z, 1.0)  # a degenerate row is all zero and stays so
     live = post > 0
-    log_post = np.log(post, out=np.zeros_like(post), where=live)
-    log_mass = np.log(mass[ok], out=np.zeros_like(post), where=live)
-    kl[ok] = (post * (log_post - log_mass)).sum(axis=1)
-    return kl
+    log_ratio = np.log(post, out=np.zeros_like(post), where=live)
+    log_ratio -= np.log(mass, out=np.zeros_like(post), where=live)
+    return (post * log_ratio).sum(axis=1)
 
 
 def information_gain(
@@ -171,87 +168,78 @@ def information_gain(
     return float(p_hit * kl_hit + (1.0 - p_hit) * kl_miss)
 
 
-def _clamped_mass_tables(probs: np.ndarray) -> np.ndarray:
-    """Sums of probs over the cells that clamp onto a block cell, shape (3, 3, ny, nx).
+def _block_axis(c: np.ndarray, r: int, n: int):
+    """One axis of the covered blocks of cells c, min(2r+1, n) entries per
+    cell: the block's cell indices, the index of c in its block, and for
+    _clamped_mass whether each entry lies in the block, its clamp-region kind
+    and the index its mass is read at. Entries past a block's end repeat its
+    last cell."""
+    lo, hi = np.maximum(c - r, 0)[:, None], np.minimum(c + r, n - 1)[:, None]
+    k = lo + np.arange(min(2 * r + 1, n))
+    idx = np.minimum(k, hi)
+    kind = np.where(idx == lo, 0, np.where(idx == hi, 2, 1))
+    # a one-cell-wide block takes the whole axis: the prefix sum at its end
+    read = np.where(lo == hi, n - 1, idx)
+    return idx, c - lo[:, 0], k <= hi, kind, read
+
+
+def _clamped_mass(probs: np.ndarray, rows, cols) -> np.ndarray:
+    """Belief mass that clamps onto each block cell, shape (C, H, W), 0 past a
+    block; rows and cols are the last three results of _block_axis.
 
     Along each axis a block cell's clamp region is the axis up to it (the
-    block's low edge), the cell itself, or the axis from it on (the high
-    edge); kinds 0, 1 and 2, rows first. Entry [ky, kx, j, i] sums probs over
-    the product of those regions through (j, i). Every sum is a cumulative sum
-    anchored at the grid border its region runs to, so a small mass is never
-    the difference of two large partial sums.
+    block's low edge, kind 0), the cell itself (1), or the axis from it on
+    (the high edge, 2). Each region sum is a cumulative sum anchored at the
+    grid border the region runs to, so a small mass is never the difference
+    of two large partial sums.
     """
 
-    def kinds(a, axis):
-        suffix = np.flip(np.cumsum(np.flip(a, axis), axis), axis)
-        return np.cumsum(a, axis), a, suffix
+    def anchored_sums(a, axis):
+        return np.cumsum(a, axis), a, np.flip(np.cumsum(np.flip(a, axis), axis), axis)
 
-    return np.array([kinds(t, 0) for t in kinds(probs, 1)]).transpose(1, 0, 2, 3)
-
-
-def _block_axis(c: np.ndarray, r: int, n: int):
-    """One axis of the covered blocks of cells c: the block's cell indices
-    (C, min(2r+1, n)), which of them lie in the grid, the clamp-region kind
-    and the table index that reads each block cell's mass, and the index of c
-    in its block."""
-    lo, hi = np.maximum(c - r, 0), np.minimum(c + r, n - 1)
-    idx = lo[:, None] + np.arange(min(2 * r + 1, n))
-    valid = idx <= hi[:, None]
-    idx = np.minimum(idx, n - 1)
-    kind = np.where(idx == lo[:, None], 0, np.where(idx == hi[:, None], 2, 1))
-    # a one-cell-wide block takes the whole axis: the prefix sum at its end
-    read = np.where((lo == hi)[:, None], n - 1, idx)
-    return idx, valid, kind, read, c - lo
+    (in_y, kind_y, read_y), (in_x, kind_x, read_x) = rows, cols
+    tables = np.empty((3, 3, *probs.shape))
+    for kx, by_column in enumerate(anchored_sums(probs, 1)):
+        for ky, table in enumerate(anchored_sums(by_column, 0)):
+            tables[ky, kx] = table
+    mass = tables[kind_y[:, :, None], kind_x[:, None, :], read_y[:, :, None], read_x[:, None, :]]
+    mass[~(in_y[:, :, None] & in_x[:, None, :])] = 0.0
+    return mass
 
 
 def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerParams):
-    """Scores of the given cells, all at once.
-
-    The kernels of a reading at a cell are edge-extended from its covered
-    block, so each full-grid sum over the prior is a sum over the block with
-    the prior mass that clamps onto each block cell. The block weights are
-    computed as detection_likelihood and miss_likelihood compute them, from
-    cell-centre differences taken in the same order.
-    """
+    """Scores of the given cells in one pass over their covered blocks (see
+    the module docstring). The block weights are computed as
+    detection_likelihood and miss_likelihood compute them."""
     geom = belief.geometry
     X, Y = geom.cell_centers()
     xs, ys = X[0], Y[:, 0]
+    n = len(cells)
     ci, cj = np.array(cells, dtype=int).reshape(-1, 2).T
-    r = params.local_radius_cells
-    cols, valid_x, kind_x, read_x, own_i = _block_axis(ci, r, geom.nx)
-    rows, valid_y, kind_y, read_y, own_j = _block_axis(cj, r, geom.ny)
-    own = (np.arange(len(cells)), own_j, own_i)
-    valid = valid_y[:, :, None] & valid_x[:, None, :]
-    tables = _clamped_mass_tables(belief.probs)
-    mass = tables[kind_y[:, :, None], kind_x[:, None, :], read_y[:, :, None], read_x[:, None, :]]
-    mass[~valid] = 0.0
+    # a block stops at the grid, and so does a larger radius, which int64 may not hold
+    r = min(params.local_radius_cells, max(geom.nx, geom.ny))
+    cols, own_i, *col_mass = _block_axis(ci, r, geom.nx)
+    rows, own_j, *row_mass = _block_axis(cj, r, geom.ny)
+    mass = _clamped_mass(belief.probs, row_mass, col_mass).reshape(n, -1)
+    own = (np.arange(n), own_j, own_i)
 
-    # angles as in angle_between; cross and dot of rows and columns apart
-    cx, cy = xs[ci][:, None], ys[cj][:, None]
-    vx, vy = ctx.v_hat
-    dx, dy = cx - xs[cols], cy - ys[rows]
-    cross = (dx * vy)[:, None, :] - (dy * vx)[:, :, None]
-    dot = (dx * vx)[:, None, :] + (dy * vy)[:, :, None]
-    theta = np.arctan2(np.abs(cross), dot + 0.0)
-    w_hit = np.exp(-(theta**2) / (2.0 * params.sigma2_hit))
-    w_hit[own] = 1.0
+    # the cells' centres and their blocks' cell centres, to broadcast to (C, H, W)
+    cx, cy = xs[ci][:, None, None], ys[cj][:, None, None]
+    bx, by = xs[cols][:, None, :], ys[rows][:, :, None]
+    w = np.exp(-(angle_between(cx - bx, cy - by, *ctx.v_hat) ** 2) / (2.0 * params.sigma2_hit))
+    w[own] = 1.0
+    kl_hit = _update_kl(mass, w.reshape(n, -1))
 
     # before the first detection the "last hit" is the candidate itself
     hx, hy = ctx.last_hit_pos or (cx, cy)
     rx, ry = hx - cx, hy - cy
-    ex, ey = xs[cols] - cx, ys[rows] - cy
-    cross = (ex * ry)[:, None, :] - (ey * rx)[:, :, None]
-    dot = (ex * rx)[:, None, :] + (ey * ry)[:, :, None]
-    phi = np.arctan2(np.abs(cross), dot + 0.0)
-    w_miss = np.exp(-(phi**2) / (2.0 * params.sigma2_miss))
-    w_miss[own] = np.where(valid, w_miss, np.inf).min(axis=(1, 2))
+    w = np.exp(-(angle_between(bx - cx, by - cy, rx, ry) ** 2) / (2.0 * params.sigma2_miss))
+    # entries past a block's end repeat its last cell: the minimum is the block's
+    w[own] = w.min(axis=(1, 2))
     # no detection yet, or it was taken at the candidate: no usable direction
-    blind = np.hypot(rx, ry)[:, 0] < 1e-12 * geom.h
-    w_miss[blind] = 1.0
+    w[np.hypot(rx, ry)[:, 0, 0] < 1e-12 * geom.h] = 1.0
+    kl_miss = _update_kl(mass, w.reshape(n, -1))
 
-    mass = mass.reshape(len(cells), -1)
-    kl_hit = _update_kl(mass, w_hit.reshape(len(cells), -1))
-    kl_miss = _update_kl(mass, w_miss.reshape(len(cells), -1))
     p_hits = _hit_probabilities(belief, cells, ctx.v_hat, params)
     return [
         CandidateScore(cell=cell, ig=float(p * kh + (1.0 - p) * km), p_hit=p)

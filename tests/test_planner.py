@@ -420,7 +420,7 @@ def scoring_cases(draw):
     """Flat, peaked (p**20), partly zero and point-mass beliefs on grids down
     to one row or column, with non-integer h and a non-zero origin; kernel
     variances from 1e-2 to 10 and an underflowing 1e-9; radii from 0 to past
-    the grid; no last hit, one at a cell centre (possibly a candidate's) or
+    the grid, and one no int64 holds; no last hit, one at a cell centre (possibly a candidate's) or
     one off the lattice."""
     nx = draw(st.integers(1, 16))
     ny = draw(st.integers(1, 16).filter(lambda ny: nx * ny > 1))
@@ -446,7 +446,9 @@ def scoring_cases(draw):
         window_cells=draw(st.sampled_from([3, 5, 7])),
         sigma2_hit=draw(variance),
         sigma2_miss=draw(variance),
-        local_radius_cells=draw(st.integers(0, max(nx, ny) + 3)),
+        local_radius_cells=draw(
+            st.one_of(st.integers(0, max(nx, ny) + 3), st.just(10**20))
+        ),
     )
     (x0, x1), (y0, y1) = geom.x_bounds, geom.y_bounds
     off_lattice = st.tuples(st.floats(x0, x1), st.floats(y0, y1))
