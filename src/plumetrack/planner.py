@@ -133,15 +133,10 @@ def predicted_hit_probability(
 
 
 def _update_kl(mass: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """KL(posterior || prior) per row, for the update of a prior whose mass
-    mass[c, b] carries likelihood weight w[c, b]; 0 for a degenerate update.
-
-    The posterior mass of b is post_b = mass_b * w_b / Z, Z = sum_b mass_b * w_b,
-    and every cell inside b has the same posterior-to-prior ratio w_b / Z, so
-    KL = sum_b post_b * (log(post_b) - log(mass_b)). Entries of zero posterior
-    add nothing. The difference of logs cannot overflow where a ratio would, on
-    a prior mass below the smallest normal float.
-    """
+    """KL(posterior || prior) per row, for prior masses mass[c, b] with
+    likelihood weights w[c, b] (see the module docstring); 0 for a degenerate
+    row. The log ratio is a difference of logs, which cannot overflow on a
+    subnormal prior mass as a quotient would."""
     post = mass * w
     z = post.sum(axis=1, keepdims=True)
     post /= np.where(z > 0, z, 1.0)  # a degenerate row is all zero and stays so
@@ -184,15 +179,11 @@ def _block_axis(c: np.ndarray, r: int, n: int):
 
 
 def _clamped_mass(probs: np.ndarray, rows, cols) -> np.ndarray:
-    """Belief mass that clamps onto each block cell, shape (C, H, W), 0 past a
-    block; rows and cols are the last three results of _block_axis.
-
-    Along each axis a block cell's clamp region is the axis up to it (the
-    block's low edge, kind 0), the cell itself (1), or the axis from it on
-    (the high edge, 2). Each region sum is a cumulative sum anchored at the
-    grid border the region runs to, so a small mass is never the difference
-    of two large partial sums.
-    """
+    """Belief mass P_b that clamps onto each block cell, shape (C, H, W), 0
+    past a block; rows and cols are the last three results of _block_axis.
+    Along an axis the clamp region of kind 0 runs from the grid border to the
+    block's low edge, of kind 1 is the cell, and of kind 2 runs from the
+    block's high edge to the grid border."""
 
     def anchored_sums(a, axis):
         return np.cumsum(a, axis), a, np.flip(np.cumsum(np.flip(a, axis), axis), axis)

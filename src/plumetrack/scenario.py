@@ -74,30 +74,26 @@ class Scenario:
     source_sha256: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        # a parsed file cannot hold one, but a replace() or a direct call can
-        for section, key, name, _ in _FLAT_FIELDS:
-            value = getattr(self, name)
-            parts = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(v) for v in parts if isinstance(v, float)):
-                raise ScenarioError(f"{section}.{key}: must be finite, got {value}")
+        # the parser rejects non-finite numbers, but replace() or a direct call
+        # can pass one: every test below fails on NaN and on infinity
         if not self.geometry.contains(self.source.position):
             raise ScenarioError(
                 f"source.position: {self.source.position} lies outside the workspace"
             )
         if not self.geometry.contains(self.usv_start):
             raise ScenarioError(f"usv.start: {self.usv_start} lies outside the workspace")
-        if not self.usv_speed > 0:
-            raise ScenarioError(f"usv.speed: must be positive, got {self.usv_speed}")
+        if not 0 < self.usv_speed < math.inf:
+            raise ScenarioError(f"usv.speed: must be positive and finite, got {self.usv_speed}")
         if float(np.hypot(*self.flow.v)) == 0.0:
             raise ScenarioError("flow.v: tracking needs a nonzero wave velocity")
-        if self.sonde_threshold is not None and not self.sonde_threshold > 0:
-            raise ScenarioError("sonde.threshold: must be positive when given")
+        if self.sonde_threshold is not None and not 0 < self.sonde_threshold < math.inf:
+            raise ScenarioError("sonde.threshold: must be positive and finite when given")
         if not 0 < self.sonde_threshold_fraction < 1:
             raise ScenarioError("sonde.threshold_fraction: must be in (0, 1)")
-        if self.sonde_noise_std < 0:
-            raise ScenarioError("sonde.noise_std: must be >= 0")
-        if not self.sonde_sample_period > 0:
-            raise ScenarioError("sonde.sample_period: must be positive")
+        if not 0 <= self.sonde_noise_std < math.inf:
+            raise ScenarioError("sonde.noise_std: must be finite and >= 0")
+        if not 0 < self.sonde_sample_period < math.inf:
+            raise ScenarioError("sonde.sample_period: must be positive and finite")
         if self.measure_mode not in MEASURE_MODES:
             raise ScenarioError(
                 f"sonde.measure_mode: expected one of {MEASURE_MODES}, "
@@ -105,8 +101,8 @@ class Scenario:
             )
         if not 0 < self.gamma < 1:
             raise ScenarioError(f"stopping.gamma: must be in (0, 1), got {self.gamma}")
-        if not self.tau_m > 0:
-            raise ScenarioError(f"stopping.tau_m: must be positive, got {self.tau_m}")
+        if not 0 < self.tau_m < math.inf:
+            raise ScenarioError(f"stopping.tau_m: must be positive and finite, got {self.tau_m}")
         if self.geometry.k == 1 and self.geometry.h > self.tau_m:
             # the SCI widths stay h and there is no other cell to move to
             raise ScenarioError(
@@ -115,17 +111,18 @@ class Scenario:
             )
         if not self.dt > 0:
             raise ScenarioError(f"sim.dt: must be positive, got {self.dt}")
-        if self.effective_diffusivity_override is not None and self.effective_diffusivity_override < 0:
-            raise ScenarioError("flow.effective_lambda: must be >= 0 when given")
+        lam = self.effective_diffusivity_override
+        if lam is not None and not 0 <= lam < math.inf:
+            raise ScenarioError("flow.effective_lambda: must be finite and >= 0 when given")
         bound = max_stable_dt(self.solver_flow(), self.geometry, 1.0)
         if self.dt > bound * (1.0 + 1e-12):
             raise ScenarioError(f"sim.dt: {self.dt} exceeds the stability bound {bound:.6g}")
-        if self.warmup_s < 0:
-            raise ScenarioError("sim.warmup_s: must be >= 0")
+        if not 0 <= self.warmup_s < math.inf:
+            raise ScenarioError("sim.warmup_s: must be finite and >= 0")
         if self.max_updates < 0:
             raise ScenarioError("sim.max_updates: must be >= 0")
-        if self.max_sim_time_s < 0:
-            raise ScenarioError("sim.max_sim_time_s: must be >= 0")
+        if not 0 <= self.max_sim_time_s < math.inf:
+            raise ScenarioError("sim.max_sim_time_s: must be finite and >= 0")
 
     def solver_flow(self) -> FlowSpec:
         """The flow the solver runs: the effective diffusivity, when given, wins
