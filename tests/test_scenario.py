@@ -13,9 +13,9 @@ from plumetrack import (
     MissionStatus,
     Scenario,
     ScenarioError,
+    SourceSpec,
     parse_scenario,
     run_mission,
-    SourceSpec,
     scenario_from_dict,
 )
 from plumetrack.cli import main
