@@ -75,7 +75,7 @@ class Scenario:
 
     def __post_init__(self):
         # the parser rejects non-finite numbers, but replace() or a direct call
-        # can pass one: every test below fails on NaN and on infinity
+        # can pass one, so each float's range test below fails on NaN and inf
         if not self.geometry.contains(self.source.position):
             raise ScenarioError(
                 f"source.position: {self.source.position} lies outside the workspace"
