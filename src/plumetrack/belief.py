@@ -121,9 +121,9 @@ def angle_between(ux, uy, wx, wy):
 
 
 def _covered_block(geometry: GridGeometry, usv_pos, radius):
-    """Cell-centre coordinates X, Y of the covered block, the index of the
-    vehicle's cell in them, and the np.pad widths that extend a block array
-    to the grid.
+    """Cell-centre x of the covered block's columns and y of its rows, the
+    index (row, column) of the vehicle's cell in the block, and the np.pad
+    widths that extend a block array to the grid.
 
     The block is axis-aligned, so the Euclidean-nearest covered cell of any
     cell is its componentwise index clamp into the block: np.pad's edge mode.
@@ -132,9 +132,39 @@ def _covered_block(geometry: GridGeometry, usv_pos, radius):
     ilo, ihi = max(ui - radius, 0), min(ui + radius, geometry.nx - 1)
     jlo, jhi = max(uj - radius, 0), min(uj + radius, geometry.ny - 1)
     X, Y = geometry.cell_centers()
-    block = np.s_[jlo : jhi + 1, ilo : ihi + 1]
     pad = ((jlo, geometry.ny - 1 - jhi), (ilo, geometry.nx - 1 - ihi))
-    return X[block], Y[block], (uj - jlo, ui - ilo), pad
+    return X[0, ilo : ihi + 1], Y[jlo : jhi + 1, 0], (uj - jlo, ui - ilo), pad
+
+
+def detection_block_weights(px, py, bx, by, own, v_hat, sigma2_hit) -> np.ndarray:
+    """Detection kernel on the covered blocks of C readings, shape (C, H, W).
+
+    Reading c was taken at (px[c], py[c]); bx[c] and by[c] are the cell-centre
+    x of its block's W columns and y of its H rows, and own = (rows, columns)
+    indexes the reading's cell in its block. See detection_likelihood.
+    """
+    px, py = np.asarray(px)[:, None, None], np.asarray(py)[:, None, None]
+    theta = angle_between(px - bx[:, None, :], py - by[:, :, None], *v_hat)
+    w = np.exp(-(theta**2) / (2.0 * sigma2_hit))
+    w[(np.arange(len(w)), *own)] = 1.0
+    return w
+
+
+def miss_block_weights(px, py, bx, by, own, last_hit_pos, h, sigma2_miss) -> np.ndarray:
+    """Miss kernel on the covered blocks of C readings, shape (C, H, W); the
+    arguments are those of detection_block_weights. Block entries that repeat
+    a cell leave the block minimum unchanged. See miss_likelihood.
+    """
+    px, py = np.asarray(px)[:, None, None], np.asarray(py)[:, None, None]
+    # before the first detection the "last hit" is the reading's position
+    hx, hy = last_hit_pos or (px, py)
+    rx, ry = hx - px, hy - py
+    phi = angle_between(bx[:, None, :] - px, by[:, :, None] - py, rx, ry)
+    w = np.exp(-(phi**2) / (2.0 * sigma2_miss))
+    w[(np.arange(len(w)), *own)] = w.min(axis=(1, 2))
+    # no detection yet, or it was taken here: no usable direction
+    w[np.hypot(rx, ry)[:, 0, 0] < 1e-12 * h] = 1.0
+    return w
 
 
 def detection_likelihood(
@@ -147,11 +177,11 @@ def detection_likelihood(
     cell gets the kernel maximum (a detection right at the source is fully
     consistent).
     """
-    X, Y, own, pad = _covered_block(geometry, ctx.usv_pos, params.local_radius_cells)
-    theta = angle_between(ctx.usv_pos[0] - X, ctx.usv_pos[1] - Y, *ctx.v_hat)
-    w = np.exp(-(theta**2) / (2.0 * params.sigma2_hit))
-    w[own] = 1.0
-    return LikelihoodField(geometry, np.pad(w, pad, mode="edge"))
+    bx, by, own, pad = _covered_block(geometry, ctx.usv_pos, params.local_radius_cells)
+    w = detection_block_weights(
+        [ctx.usv_pos[0]], [ctx.usv_pos[1]], bx[None], by[None], own, ctx.v_hat, params.sigma2_hit
+    )
+    return LikelihoodField(geometry, np.pad(w[0], pad, mode="edge"))
 
 
 def miss_likelihood(
@@ -165,17 +195,18 @@ def miss_likelihood(
     vehicle's own cell takes the minimum covered weight, since a miss argues
     against the source being underfoot.
     """
-    # before the first detection the "last hit" is the vehicle itself
-    hx, hy = ctx.last_hit_pos or ctx.usv_pos
-    rx, ry = hx - ctx.usv_pos[0], hy - ctx.usv_pos[1]
-    if np.hypot(rx, ry) < 1e-12 * geometry.h:
-        # no detection yet, or it was taken here: no usable direction
-        return LikelihoodField(geometry, np.ones((geometry.ny, geometry.nx)))
-    X, Y, own, pad = _covered_block(geometry, ctx.usv_pos, params.local_radius_cells)
-    phi = angle_between(X - ctx.usv_pos[0], Y - ctx.usv_pos[1], rx, ry)
-    w = np.exp(-(phi**2) / (2.0 * params.sigma2_miss))
-    w[own] = w.min()
-    return LikelihoodField(geometry, np.pad(w, pad, mode="edge"))
+    bx, by, own, pad = _covered_block(geometry, ctx.usv_pos, params.local_radius_cells)
+    w = miss_block_weights(
+        [ctx.usv_pos[0]],
+        [ctx.usv_pos[1]],
+        bx[None],
+        by[None],
+        own,
+        ctx.last_hit_pos,
+        geometry.h,
+        params.sigma2_miss,
+    )
+    return LikelihoodField(geometry, np.pad(w[0], pad, mode="edge"))
 
 
 def bayes_update(belief: GridBelief, like: LikelihoodField) -> GridBelief:

@@ -16,9 +16,10 @@ row-major cell order, so selection is fully deterministic.
 
 One pass scores every candidate, at a cost per candidate that does not grow
 with the grid. A reading's likelihood is computed on its covered block, the
-(2r+1)^2 cells around the reading's cell, and edge-extended to the grid, so a
-full-grid sum over the belief is a sum over the block in which block cell b
-carries P_b, the belief mass that clamps onto it. With block weights w_b,
+(2r+1)^2 cells around the reading's cell, by the block kernels of the belief
+module, and edge-extended to the grid, so a full-grid sum over the belief is
+a sum over the block in which block cell b carries P_b, the belief mass that
+clamps onto it. With block weights w_b,
 Z = sum_b P_b * w_b and post_b = P_b * w_b / Z,
 
     KL(posterior || belief) = sum_b post_b * log(post_b / P_b)
@@ -29,7 +30,10 @@ itself, so P_b is read from cumulative sums of the belief anchored at that
 border. A summed-area table would take P_b as a difference of partial sums of
 order one, and cancellation would lose small masses. The hit kernel of p_hit
 is not clamped, so p_hit stays a full-grid product with a slice of one kernel
-table, per candidate.
+table, per candidate. The pass takes the candidates in chunks whose block
+arrays hold at most max(2^16, nx * ny) elements, so a wide window or a radius
+past the grid cannot hold C * nx * ny numbers at once; the bundled scenarios
+fit one chunk.
 """
 
 from dataclasses import dataclass
@@ -37,7 +41,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .belief import GridBelief, LikelihoodField, MeasurementContext, angle_between
+from .belief import (
+    GridBelief,
+    LikelihoodField,
+    MeasurementContext,
+    angle_between,
+    detection_block_weights,
+    miss_block_weights,
+)
 from .grid import GridGeometry
 
 
@@ -178,64 +189,75 @@ def _block_axis(c: np.ndarray, r: int, n: int):
     return idx, c - lo[:, 0], k <= hi, kind, read
 
 
-def _clamped_mass(probs: np.ndarray, rows, cols) -> np.ndarray:
+def _anchored_sums(probs: np.ndarray) -> np.ndarray:
+    """3x3 tables of shape (ny, nx) for _clamped_mass. Along each axis, table
+    0 sums from the low grid border to an index, table 1 is the cell and
+    table 2 sums from an index to the high border."""
+
+    def along(a, axis):
+        return np.cumsum(a, axis), a, np.flip(np.cumsum(np.flip(a, axis), axis), axis)
+
+    tables = np.empty((3, 3, *probs.shape))
+    for kx, by_column in enumerate(along(probs, 1)):
+        for ky, table in enumerate(along(by_column, 0)):
+            tables[ky, kx] = table
+    return tables
+
+
+def _clamped_mass(tables: np.ndarray, rows, cols) -> np.ndarray:
     """Belief mass P_b that clamps onto each block cell, shape (C, H, W), 0
     past a block; rows and cols are the last three results of _block_axis.
     Along an axis the clamp region of kind 0 runs from the grid border to the
     block's low edge, of kind 1 is the cell, and of kind 2 runs from the
     block's high edge to the grid border."""
-
-    def anchored_sums(a, axis):
-        return np.cumsum(a, axis), a, np.flip(np.cumsum(np.flip(a, axis), axis), axis)
-
     (in_y, kind_y, read_y), (in_x, kind_x, read_x) = rows, cols
-    tables = np.empty((3, 3, *probs.shape))
-    for kx, by_column in enumerate(anchored_sums(probs, 1)):
-        for ky, table in enumerate(anchored_sums(by_column, 0)):
-            tables[ky, kx] = table
     mass = tables[kind_y[:, :, None], kind_x[:, None, :], read_y[:, :, None], read_x[:, None, :]]
     mass[~(in_y[:, :, None] & in_x[:, None, :])] = 0.0
     return mass
 
 
-def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerParams):
-    """Scores of the given cells in one pass over their covered blocks (see
-    the module docstring). The block weights are computed as
-    detection_likelihood and miss_likelihood compute them."""
-    geom = belief.geometry
+def _block_kls(geom: GridGeometry, tables, cells, ctx: MeasurementContext, r: int, params):
+    """KL divergences of the hit and of the miss posterior for each cell."""
     X, Y = geom.cell_centers()
     xs, ys = X[0], Y[:, 0]
     n = len(cells)
     ci, cj = np.array(cells, dtype=int).reshape(-1, 2).T
-    # a block stops at the grid, and so does a larger radius, which int64 may not hold
-    r = min(params.local_radius_cells, max(geom.nx, geom.ny))
     cols, own_i, *col_mass = _block_axis(ci, r, geom.nx)
     rows, own_j, *row_mass = _block_axis(cj, r, geom.ny)
-    mass = _clamped_mass(belief.probs, row_mass, col_mass).reshape(n, -1)
-    own = (np.arange(n), own_j, own_i)
-
-    # the cells' centres and their blocks' cell centres, to broadcast to (C, H, W)
-    cx, cy = xs[ci][:, None, None], ys[cj][:, None, None]
-    bx, by = xs[cols][:, None, :], ys[rows][:, :, None]
-    w = np.exp(-(angle_between(cx - bx, cy - by, *ctx.v_hat) ** 2) / (2.0 * params.sigma2_hit))
-    w[own] = 1.0
+    mass = _clamped_mass(tables, row_mass, col_mass).reshape(n, -1)
+    block = (xs[ci], ys[cj], xs[cols], ys[rows], (own_j, own_i))
+    w = detection_block_weights(*block, ctx.v_hat, params.sigma2_hit)
     kl_hit = _update_kl(mass, w.reshape(n, -1))
-
-    # before the first detection the "last hit" is the candidate itself
-    hx, hy = ctx.last_hit_pos or (cx, cy)
-    rx, ry = hx - cx, hy - cy
-    w = np.exp(-(angle_between(bx - cx, by - cy, rx, ry) ** 2) / (2.0 * params.sigma2_miss))
-    # entries past a block's end repeat its last cell: the minimum is the block's
-    w[own] = w.min(axis=(1, 2))
-    # no detection yet, or it was taken at the candidate: no usable direction
-    w[np.hypot(rx, ry)[:, 0, 0] < 1e-12 * geom.h] = 1.0
+    w = miss_block_weights(*block, ctx.last_hit_pos, geom.h, params.sigma2_miss)
     kl_miss = _update_kl(mass, w.reshape(n, -1))
+    return kl_hit, kl_miss
 
-    p_hits = _hit_probabilities(belief, cells, ctx.v_hat, params)
-    return [
-        CandidateScore(cell=cell, ig=float(p * kh + (1.0 - p) * km), p_hit=p)
-        for cell, p, kh, km in zip(cells, p_hits, kl_hit, kl_miss)
-    ]
+
+# Elements of one (C, H, W) block array: _score takes the candidates in chunks
+# of at most this many, or of the grid's cell count if larger, so its memory
+# stays O(nx * ny) for any window and radius.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerParams):
+    """Scores of the given cells from their covered blocks (see the module
+    docstring), in chunks of candidates."""
+    geom = belief.geometry
+    # a block stops at the grid, and so does a larger radius, which int64 may not hold
+    r = min(params.local_radius_cells, max(geom.nx, geom.ny))
+    block = min(2 * r + 1, geom.ny) * min(2 * r + 1, geom.nx)
+    per_chunk = max(_BLOCK_ELEMENTS, geom.k) // block
+    tables = _anchored_sums(belief.probs)
+    scores = []
+    for start in range(0, len(cells), per_chunk):
+        chunk = cells[start : start + per_chunk]
+        kl_hit, kl_miss = _block_kls(geom, tables, chunk, ctx, r, params)
+        p_hits = _hit_probabilities(belief, chunk, ctx.v_hat, params)
+        scores += [
+            CandidateScore(cell=cell, ig=float(p * kh + (1.0 - p) * km), p_hit=p)
+            for cell, p, kh, km in zip(chunk, p_hits, kl_hit, kl_miss)
+        ]
+    return scores
 
 
 def expected_information_gain(

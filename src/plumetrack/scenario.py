@@ -269,10 +269,9 @@ def scenario_from_dict(data: dict, source_sha256: str | None = None) -> Scenario
     fl = sections["flow"]
     v = _pair("flow", "v", fl.get("v"))
     diffusivity = _number("flow", "lambda", fl.get("lambda", _DEFAULT_LAMBDA))
-    try:
-        flow = FlowSpec(v, diffusivity)
-    except ValueError as exc:  # FlowSpec's diffusivity is the file's flow.lambda
-        raise ScenarioError(f"flow.lambda{str(exc).removeprefix('diffusivity')}") from exc
+    if diffusivity < 0:  # FlowSpec would reject it, naming its own field
+        raise ScenarioError(f"flow.lambda: must be >= 0, got {diffusivity}")
+    flow = FlowSpec(v, diffusivity)
     kwargs = {
         "geometry": _from_section(sections["workspace"], GridGeometry),
         "flow": flow,

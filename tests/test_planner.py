@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from plumetrack.belief import (
     detection_likelihood,
     miss_likelihood,
 )
+import plumetrack.planner as planner
 from plumetrack.planner import _hit_kernel_table, score_candidates
 
 V_HAT = (1 / math.sqrt(2), 1 / math.sqrt(2))
@@ -474,3 +476,33 @@ class TestBatchedScoring:
             assert score.p_hit == p_hit, score.cell
             # the tie tolerance of select_waypoint
             assert abs(score.ig - ig) <= 1e-12, (score.cell, score.ig, ig)
+
+    def test_chunked_scores_match_one_pass(self, monkeypatch):
+        # a radius past the grid makes every block the whole grid, so a
+        # budget below the cell count scores one candidate per chunk
+        geom = GridGeometry(9, 7, 1.3, (0.4, -2.0))
+        probs = np.random.default_rng(3).random((7, 9)) ** 20
+        belief = GridBelief(geom, probs / probs.sum())
+        params = PlannerParams(window_cells=7, local_radius_cells=12)
+        ctx = _ctx(geom, (4, 3), last_hit=geom.cell_center(1, 5))
+        one_pass = score_candidates(belief, (4, 3), ctx, params)
+        monkeypatch.setattr(planner, "_BLOCK_ELEMENTS", 1)
+        assert score_candidates(belief, (4, 3), ctx, params) == one_pass
+
+    def test_memory_stays_bounded_for_a_wide_window_past_the_grid(self):
+        # 2,399 candidates whose blocks are the whole 60x40 grid: one
+        # (C, ny, nx) float array would take 46 MB
+        geom = GridGeometry(60, 40, 1.0)
+        probs = np.random.default_rng(0).random((40, 60))
+        belief = GridBelief(geom, probs / probs.sum())
+        params = PlannerParams(window_cells=121, local_radius_cells=60)
+        ctx = _ctx(geom, (30, 20), last_hit=geom.cell_center(0, 0))
+        tracemalloc.start()
+        try:
+            scores = score_candidates(belief, (30, 20), ctx, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scores) == geom.k - 1
+        # a few float arrays of one chunk's size: O(grid), far below 46 MB
+        assert peak < 16 * 8 * max(planner._BLOCK_ELEMENTS, geom.k)

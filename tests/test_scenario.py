@@ -155,6 +155,11 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=rf"{section}\.{key}: expected a finite number"):
             parse_scenario(path)
 
+    def test_negative_lambda_names_its_key(self):
+        cfg = minimal_config(flow={"v": [1.0, 0.5], "lambda": -0.5})
+        with pytest.raises(ScenarioError, match=r"^flow\.lambda: must be >= 0, got -0\.5$"):
+            scenario_from_dict(cfg)
+
     def test_single_cell_grid_needs_tau_at_least_h(self):
         # one cell offers no waypoint: the SCI widths (h, h) must pass at once
         cfg = minimal_config(
