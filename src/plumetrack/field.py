@@ -17,6 +17,7 @@ flux and exists mainly so mass accounting can be tested.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,8 @@ class ScalarField:
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.geometry.ny}, {self.geometry.nx})"
             )
-        if self.values.min() < 0:
+        # one reduction per step; written so that a NaN fails it
+        if not self.values.min() >= 0:
             raise ValueError("concentration values must be non-negative")
 
     def total_mass(self) -> float:
@@ -77,7 +79,7 @@ class ScalarField:
 
 def init_field(geometry: GridGeometry, c0: float = 0.0) -> ScalarField:
     """Uniform initial concentration c0 at time zero."""
-    if c0 < 0:
+    if not c0 >= 0:
         raise ValueError(f"initial concentration must be >= 0, got {c0}")
     return ScalarField(geometry, np.full((geometry.ny, geometry.nx), float(c0)), 0.0)
 
@@ -107,66 +109,89 @@ def step(
 
     Upwind advection, then central diffusion, then injection of
     source.rate * dt / h^2 into the cell containing the source. Raises if dt
-    exceeds the stability bound rather than silently producing garbage.
+    is not finite and positive or exceeds the stability bound, rather than
+    silently producing garbage.
     """
     if boundary not in ("open", "closed"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     bound = max_stable_dt(flow, field.geometry, 1.0)
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} exceeds stability bound {bound}")
 
     geom = field.geometry
-    h = geom.h
-    c = _advect(field.values, flow.v, h, dt, boundary)
-    if flow.diffusivity > 0:
-        c = _diffuse(c, flow.diffusivity, h, dt)
-    # flux differencing can leave ulp-scale negatives at the exact CFL limit
-    np.maximum(c, 0.0, out=c)
+    nx, n, h = geom.nx, geom.k, geom.h
+    s = dt / h
+    lam = flow.diffusivity
+    c = field.values.reshape(n)
+    out = np.empty(n)
+    scratch, delta, faces = _scratch(n, nx)
+    # diffusion reads the advected field while it writes the result
+    adv = scratch if lam > 0 else out
+    adv[:] = c
 
+    # Face k of an axis with cell stride t lies between cells k - t and k, so
+    # a flux difference is f[t:] - f[:-t]. Along x the face between two rows
+    # is the right wall of one and the left wall of the next.
+    vx, vy = flow.v
+    if vx != 0.0:
+        f = faces[: n + 1]
+        p = f[1:] if vx > 0 else f[:n]  # p[k]: the upwind flux leaving cell k
+        np.multiply(c, vx, out=p)
+        if boundary == "closed":
+            f[::nx] = 0.0
+        else:
+            f[0], f[n] = p[0], p[n - 1]
+        np.subtract(f[1:], f[:n], out=delta)
+        if boundary == "open":
+            # an inflow wall's zero-gradient ghost gives its cell one flux in
+            # and out; a shared face holds the other row's outflow flux
+            wall = slice(0, n, nx) if vx > 0 else slice(nx - 1, n, nx)
+            np.subtract(p[wall], p[wall], out=delta[wall])
+        adv -= np.multiply(delta, s, out=delta)
+    if vy != 0.0:
+        p = faces[nx:] if vy > 0 else faces[:n]
+        np.multiply(c, vy, out=p)
+        if boundary == "closed":
+            faces[:nx] = faces[n:] = 0.0
+        else:
+            faces[:nx], faces[n:] = p[:nx], p[n - nx :]
+        np.subtract(faces[nx:], faces[:n], out=delta)
+        adv -= np.multiply(delta, s, out=delta)
+
+    if lam > 0:
+        out[:] = adv
+        for axis, t in enumerate((1, nx)):
+            f = faces[: n + t]
+            inner = f[t:n]
+            np.subtract(adv[t:], adv[: n - t], out=inner)
+            np.multiply(inner, -lam, out=inner)
+            np.divide(inner, h, out=inner)
+            # wall faces are assigned, as -lam * 0.0 would be -0.0
+            f[:t] = f[n:] = 0.0
+            if axis == 0:
+                f[::nx] = 0.0
+            np.subtract(f[t:], f[:n], out=delta)
+            out -= np.multiply(delta, s, out=delta)
+
+    # flux differencing can leave ulp-scale negatives at the exact CFL limit
+    np.maximum(out, 0.0, out=out)
     if source.rate > 0:
         si, sj = geom.cell_of(source.position)
-        c[sj, si] += source.rate * dt / h**2
-    return ScalarField(geom, c, field.time + dt)
+        out[sj * nx + si] += source.rate * dt / h**2
+    return ScalarField(geom, out.reshape(geom.ny, nx), field.time + dt)
 
 
-def _advect(c, v, h, dt, boundary):
-    """Flux-form first-order upwind advection. Returns a new array."""
-    vx, vy = v
-    out = c.copy()
-    if vx != 0.0:
-        fx = np.empty((c.shape[0], c.shape[1] + 1))
-        fx[:, 1:-1] = vx * (c[:, :-1] if vx > 0 else c[:, 1:])
-        if boundary == "open":
-            # zero-gradient ghosts: the upwind value at either wall is the wall cell
-            fx[:, 0] = vx * c[:, 0]
-            fx[:, -1] = vx * c[:, -1]
-        else:
-            fx[:, 0] = 0.0
-            fx[:, -1] = 0.0
-        out -= (dt / h) * (fx[:, 1:] - fx[:, :-1])
-    if vy != 0.0:
-        fy = np.empty((c.shape[0] + 1, c.shape[1]))
-        fy[1:-1, :] = vy * (c[:-1, :] if vy > 0 else c[1:, :])
-        if boundary == "open":
-            fy[0, :] = vy * c[0, :]
-            fy[-1, :] = vy * c[-1, :]
-        else:
-            fy[0, :] = 0.0
-            fy[-1, :] = 0.0
-        out -= (dt / h) * (fy[1:, :] - fy[:-1, :])
-    return out
+_local = threading.local()
 
 
-def _diffuse(c, lam, h, dt):
-    """Flux-form central diffusion; boundary flux is zero in both modes."""
-    out = c.copy()
-    gx = np.zeros((c.shape[0], c.shape[1] + 1))
-    gx[:, 1:-1] = -lam * (c[:, 1:] - c[:, :-1]) / h
-    out -= (dt / h) * (gx[:, 1:] - gx[:, :-1])
-    gy = np.zeros((c.shape[0] + 1, c.shape[1]))
-    gy[1:-1, :] = -lam * (c[1:, :] - c[:-1, :]) / h
-    out -= (dt / h) * (gy[1:, :] - gy[:-1, :])
-    return out
+def _scratch(n, nx):
+    """This thread's two n-cell arrays and (n + nx)-face array, reused across steps."""
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf[0].size != n or buf[2].size != n + nx:
+        buf = _local.buf = (np.empty(n), np.empty(n), np.empty(n + nx))
+    return buf
 
 
 def run_warmup(
@@ -178,8 +203,8 @@ def run_warmup(
     boundary: str = "open",
 ) -> ScalarField:
     """Step the field until field.time >= duration (plume spin-up)."""
-    if duration < 0:
-        raise ValueError(f"warmup duration must be >= 0, got {duration}")
+    if not 0 <= duration < math.inf:
+        raise ValueError(f"warmup duration must be finite and >= 0, got {duration}")
     target = field.time + duration
     while field.time < target:
         field = step(field, flow, source, dt, boundary)

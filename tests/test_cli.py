@@ -2,12 +2,17 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from plumetrack import GridGeometry
 from plumetrack.cli import main
-from plumetrack.io import dumps_json, fmt_float
+from plumetrack.io import _cell, _write_csv, dumps_json, fmt_float, write_grid_csv
 
 SMALL = {
     "workspace": {"nx": 30, "ny": 20, "h": 5.0, "origin": [0.0, 0.0]},
@@ -167,6 +172,22 @@ class TestFieldCommand:
         # open boundaries may shed a little mass; most of 60 s of release remains
         assert 0 < total * 5.0**2 <= 2.5 * 60 + 1e-6
 
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_non_finite_duration_is_a_usage_error(self, t, tmp_path):
+        # a subprocess with a timeout, so a warm-up that never ends fails the
+        # test instead of stalling the suite
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "snap.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "plumetrack", "field", "--scenario", "scenario_a",
+             "--t", t, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert not out.exists()
+
 
 class TestJsonWriter:
     def test_nine_significant_digits(self):
@@ -187,3 +208,43 @@ class TestJsonWriter:
             "c": [],
             "d": {},
         }
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308, 1 / 3, 1e22]
+
+
+def _csv_module_bytes(path, header, rows):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
+    return path.read_bytes()
+
+
+class TestCsvWriters:
+    """The writers join cells themselves; their bytes equal the csv module's."""
+
+    def test_rows_match_the_csv_module(self, tmp_path):
+        values = [None, 0, 7, -3, np.int64(12), np.int32(-5), np.float64(2.5), *SPECIAL_FLOATS]
+        rows = [tuple(values[(k + r) % len(values)] for k in range(7)) for r in range(len(values))]
+        header = ["time_s", "x_m", "y_m", "concentration", "z", "waypoint_x_m", "waypoint_y_m"]
+        _write_csv(tmp_path / "ours.csv", header, rows)
+        expected = _csv_module_bytes(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "ours.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (4, 7)])
+    def test_grid_matches_the_csv_module(self, shape, tmp_path):
+        ny, nx = shape
+        geom = GridGeometry(nx=nx, ny=ny, h=0.7, origin=(1.3, -2.1))
+        rng = np.random.default_rng(nx * 100 + ny)
+        values = rng.choice(np.array(SPECIAL_FLOATS + [0.25, 3.0]), size=(ny, nx))
+        X, Y = geom.cell_centers()
+        rows = [
+            (i, j, float(X[j, i]), float(Y[j, i]), float(values[j, i]))
+            for j in range(ny)
+            for i in range(nx)
+        ]
+        write_grid_csv(tmp_path / "ours.csv", geom, values, "probability")
+        expected = _csv_module_bytes(tmp_path / "ref.csv", ["i", "j", "x_m", "y_m", "probability"], rows)
+        assert (tmp_path / "ours.csv").read_bytes() == expected

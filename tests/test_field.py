@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plumetrack import (
     FlowSpec,
@@ -79,6 +80,31 @@ def test_step_uniform_field_is_fixed_point():
     flow = FlowSpec((1.2247, 1.2247), 4.9e-10)
     g = step(f, flow, NO_SOURCE, dt=1.0)
     assert np.allclose(g.values, 7.5, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("v", [(0.0, 0.0), (1.2247, 1.2247)])
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -0.0, -1.0])
+def test_step_rejects_dt_not_finite_and_positive(v, dt):
+    # without transport the stability bound is infinite, so only this test
+    # stands between a bad dt and a NaN, frozen or infinite-time field
+    f = init_field(PAPER_GRID, 1.0)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        step(f, FlowSpec(v, 0.0), NO_SOURCE, dt)
+
+
+def test_warmup_rejects_non_finite_duration():
+    f = init_field(PAPER_GRID, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        run_warmup(f, FlowSpec((1.0, 0.0)), NO_SOURCE, math.nan, dt=1.0)
+
+
+def test_nan_concentration_rejected():
+    with pytest.raises(ValueError):
+        init_field(PAPER_GRID, math.nan)
+    values = np.zeros((PAPER_GRID.ny, PAPER_GRID.nx))
+    for bad in (np.full_like(values, math.nan), np.where(np.eye(50, 100) > 0, math.nan, values)):
+        with pytest.raises(ValueError, match="non-negative"):
+            ScalarField(PAPER_GRID, bad)
 
 
 def test_step_rejects_unstable_dt():
@@ -243,3 +269,101 @@ def test_source_injection_raises_concentration_by_rate_dt_over_area():
     i, j = geom.cell_of(src.position)
     assert f.values[j, i] == pytest.approx(3.0 * 0.5 / 2.0**2)
     assert np.count_nonzero(f.values) == 1
+
+
+# -- the raveled step against the 2D flux form ---------------------------------
+
+
+def _reference_step(field, flow, source, dt, boundary):
+    """The 2D flux-form step, face arrays per axis; returns the result before
+    the clip of rounding-scale negatives, and after it."""
+    c, h = field.values, field.geometry.h
+    vx, vy = flow.v
+    out = c.copy()
+    if vx != 0.0:
+        fx = np.empty((c.shape[0], c.shape[1] + 1))
+        fx[:, 1:-1] = vx * (c[:, :-1] if vx > 0 else c[:, 1:])
+        fx[:, 0], fx[:, -1] = (vx * c[:, 0], vx * c[:, -1]) if boundary == "open" else (0.0, 0.0)
+        out -= (dt / h) * (fx[:, 1:] - fx[:, :-1])
+    if vy != 0.0:
+        fy = np.empty((c.shape[0] + 1, c.shape[1]))
+        fy[1:-1, :] = vy * (c[:-1, :] if vy > 0 else c[1:, :])
+        fy[0, :], fy[-1, :] = (vy * c[0, :], vy * c[-1, :]) if boundary == "open" else (0.0, 0.0)
+        out -= (dt / h) * (fy[1:, :] - fy[:-1, :])
+    if flow.diffusivity > 0:
+        lam, c = flow.diffusivity, out
+        out = c.copy()
+        gx = np.zeros((c.shape[0], c.shape[1] + 1))
+        gx[:, 1:-1] = -lam * (c[:, 1:] - c[:, :-1]) / h
+        out -= (dt / h) * (gx[:, 1:] - gx[:, :-1])
+        gy = np.zeros((c.shape[0] + 1, c.shape[1]))
+        gy[1:-1, :] = -lam * (c[1:, :] - c[:-1, :]) / h
+        out -= (dt / h) * (gy[1:, :] - gy[:-1, :])
+    unclipped = out.copy()
+    np.maximum(out, 0.0, out=out)
+    if source.rate > 0:
+        si, sj = field.geometry.cell_of(source.position)
+        out[sj, si] += source.rate * dt / h**2
+    return unclipped, out
+
+
+@st.composite
+def step_cases(draw):
+    """Grids from 1x1 to 30x30, signed-zero velocity components, diffusivity
+    0, molecular or large, dt at or below the CFL bound, and zero, -0.0,
+    subnormal, point-mass or random starting fields."""
+    nx = draw(st.one_of(st.just(1), st.integers(1, 30)))
+    ny = draw(st.one_of(st.just(1), st.integers(1, 30)))
+    geom = GridGeometry(nx, ny, draw(st.floats(0.5, 6.0)))
+    speed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
+    lam = draw(st.one_of(st.just(0.0), st.just(4.9e-10), st.floats(0.0, 0.5)))
+    flow = FlowSpec((draw(speed), draw(speed)), lam)
+    bound = max_stable_dt(flow, geom, 1.0)
+    scale = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    dt = scale * (bound if bound < math.inf else 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    start = draw(st.sampled_from(["zero", "negative zero", "subnormal", "point", "random"]))
+    if start == "zero":
+        values = np.zeros((ny, nx))
+    elif start == "negative zero":
+        values = np.full((ny, nx), -0.0)
+    elif start == "subnormal":
+        values = rng.integers(0, 4, (ny, nx)) * 5e-324
+    elif start == "point":
+        values = np.zeros((ny, nx))
+        values[rng.integers(ny), rng.integers(nx)] = rng.uniform(0.0, 10.0)
+    else:
+        values = rng.random((ny, nx)) ** 3
+    i, j = int(rng.integers(nx)), int(rng.integers(ny))
+    source = SourceSpec(geom.cell_center(i, j), draw(st.sampled_from([0.0, 1.3])))
+    boundary = draw(st.sampled_from(["open", "closed"]))
+    return ScalarField(geom, values), flow, source, dt, boundary
+
+
+class TestRaveledStep:
+    @settings(max_examples=300, deadline=None)
+    @given(step_cases())
+    def test_bitwise_equal_to_the_2d_flux_form(self, case):
+        field, flow, source, dt, boundary = case
+        expected = field
+        for _ in range(3):
+            field = step(field, flow, source, dt, boundary)
+            _, values = _reference_step(expected, flow, source, dt, boundary)
+            expected = ScalarField(expected.geometry, values, expected.time + dt)
+            assert field.values.tobytes() == expected.values.tobytes()
+            assert field.time == expected.time
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_cases())
+    def test_positivity(self, case):
+        # each substep is monotone within the CFL bound, so the clip only
+        # removes rounding errors: relative to the field's largest value, or
+        # a few subnormal units where the field itself is subnormal
+        field, flow, source, dt, boundary = case
+        tiny = np.finfo(float).smallest_subnormal
+        for _ in range(3):
+            unclipped, _ = _reference_step(field, flow, source, dt, boundary)
+            assert unclipped.min() >= -1e-12 * field.values.max() - 8 * tiny
+            field = step(field, flow, source, dt, boundary)
+            assert np.isfinite(field.values).all()
+            assert field.values.min() >= 0.0
