@@ -6,8 +6,9 @@ byte-identical outputs. The JSON writer is hand-rolled for exactly that
 reason: stdlib json offers no control over float formatting.
 """
 
-import csv
 from pathlib import Path
+
+import numpy as np
 
 from .belief import GridBelief
 from .field import ScalarField
@@ -27,24 +28,21 @@ def _cell(value) -> str:
 
 
 def _write_csv(path, header, rows):
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            writer.writerow([_cell(v) for v in row])
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def write_grid_csv(path, geometry, values, value_column):
-    """Per-cell snapshot, row-major with j outer and i inner."""
+    """Per-cell snapshot, row-major with j outer and i inner; one write per grid row."""
     X, Y = geometry.cell_centers()
-
-    def rows():
+    values = np.asarray(values, dtype=float)
+    with Path(path).open("w", newline="") as fh:
+        fh.write(f"i,j,x_m,y_m,{value_column}\n")
         for j in range(geometry.ny):
-            for i in range(geometry.nx):
-                yield (i, j, float(X[j, i]), float(Y[j, i]), float(values[j, i]))
-
-    _write_csv(path, ["i", "j", "x_m", "y_m", value_column], rows())
+            cells = zip(X[j].tolist(), Y[j].tolist(), values[j].tolist())
+            fh.write("".join(f"{i},{j},{x:.9g},{y:.9g},{v:.9g}\n" for i, (x, y, v) in enumerate(cells)))
 
 
 def write_field_csv(path, field: ScalarField):
