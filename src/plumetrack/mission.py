@@ -165,11 +165,12 @@ class Mission:
             return self._result
 
         sc = self.goal.scenario
+        out_of_time = False
         while True:
             if self._cancel.is_set():
                 status = MissionStatus.CANCELED
                 break
-            if self.updates_used >= sc.max_updates or self.sim_time_s > sc.max_sim_time_s:
+            if self.updates_used >= sc.max_updates or out_of_time:
                 status = MissionStatus.ABORTED
                 break
 
@@ -228,7 +229,7 @@ class Mission:
                 (reading.time - self._t0, *reading.position,
                  reading.concentration, reading.z, *waypoint)
             )
-            self._travel(waypoint)
+            out_of_time = not self._travel(waypoint)
 
         estimate = point_estimate(self.belief)
         widths = sci_widths(self.belief, sc.gamma)
@@ -244,20 +245,25 @@ class Mission:
         )
         return self._result
 
-    def _travel(self, waypoint):
+    def _travel(self, waypoint) -> bool:
         """Advance vehicle and field on the same dt schedule until arrival.
 
         In continuous measure mode the leg is interrupted once sample_period
-        elapses, so the next reading happens en route.
+        elapses, so the next reading happens en route. Returns False, leaving
+        the vehicle short of the waypoint, when the next step would take the
+        mission past max_sim_time_s.
         """
         sc = self.goal.scenario
         elapsed = 0.0
         while self.usv.position != tuple(waypoint):
+            if self.usv.time + sc.dt - self._t0 > sc.max_sim_time_s:
+                return False
             self.usv = advance_towards(self.usv, waypoint, sc.dt, self.geometry)
             self.field = field_step(self.field, self.flow, sc.source, sc.dt)
             elapsed += sc.dt
             if sc.measure_mode == "continuous" and elapsed + 1e-9 >= self.sonde.sample_period:
                 break
+        return True
 
 
 def run_mission(goal: MissionGoal, rng=None, feedback=None, collect_trace=False) -> TrackResult:

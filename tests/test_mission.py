@@ -10,6 +10,7 @@ from plumetrack import (
     MissionStatus,
     TrackResult,
     cancel_mission,
+    parse_scenario,
     run_mission,
     scenario_from_dict,
 )
@@ -84,12 +85,27 @@ def test_budget_safety():
     assert result.status == MissionStatus.ABORTED
     assert result.updates == 7
 
-    # sim-time budget: at most one waypoint leg of overshoot
-    sc = small_scenario()
-    goal = MissionGoal.for_scenario(sc, max_sim_time_s=30.0)
+    # sim-time budget: a leg stops before its step would pass the budget
+    goal = MissionGoal.for_scenario(small_scenario(), max_sim_time_s=30.0)
     result = run_mission(goal)
-    max_leg_m = (sc.planner.window_cells // 2) * sc.geometry.h * np.sqrt(2)
-    assert result.sim_time_s <= 30.0 + max_leg_m / sc.usv_speed + sc.dt
+    assert result.status == MissionStatus.ABORTED
+    assert result.sim_time_s <= 30.0
+
+
+@pytest.mark.parametrize("mode", ["on_arrival", "continuous"])
+@pytest.mark.parametrize("budget", [0.0, 50.0, 101.0, 333.0])
+def test_time_budget_is_never_overrun(budget, mode):
+    sc = parse_scenario("scenario_upwind")
+    sc = dataclasses.replace(sc, measure_mode=mode, max_sim_time_s=budget)
+    mission = Mission(MissionGoal(sc))
+    result = mission.run()
+    assert result.status == MissionStatus.ABORTED
+    assert result.sim_time_s <= budget
+    # once no further solver step fits, the mission stops instead of taking
+    # readings where the vehicle already stood
+    positions = [fb.usv_position for fb in mission.log.feedbacks]
+    assert all(a != b for a, b in zip(positions, positions[1:]))
+    assert mission.field.time == mission.usv.time
 
 
 def test_estimate_stays_inside_workspace():
