@@ -169,9 +169,10 @@ def step(
             np.multiply(inner, -lam, out=inner)
             np.divide(inner, h, out=inner)
             # wall faces are assigned, as -lam * 0.0 would be -0.0
-            f[:t] = f[n:] = 0.0
             if axis == 0:
                 f[::nx] = 0.0
+            else:
+                f[:nx] = f[n:] = 0.0
             np.subtract(f[t:], f[:n], out=delta)
             out -= np.multiply(delta, s, out=delta)
 

@@ -8,8 +8,6 @@ reason: stdlib json offers no control over float formatting.
 
 from pathlib import Path
 
-import numpy as np
-
 from .belief import GridBelief
 from .field import ScalarField
 
@@ -37,12 +35,11 @@ def _write_csv(path, header, rows):
 def write_grid_csv(path, geometry, values, value_column):
     """Per-cell snapshot, row-major with j outer and i inner; one write per grid row."""
     X, Y = geometry.cell_centers()
-    values = np.asarray(values, dtype=float)
     with Path(path).open("w", newline="") as fh:
         fh.write(f"i,j,x_m,y_m,{value_column}\n")
         for j in range(geometry.ny):
-            cells = zip(X[j].tolist(), Y[j].tolist(), values[j].tolist())
-            fh.write("".join(f"{i},{j},{x:.9g},{y:.9g},{v:.9g}\n" for i, (x, y, v) in enumerate(cells)))
+            cells = enumerate(zip(X[j].tolist(), Y[j].tolist(), values[j].tolist()))
+            fh.write("".join(f"{i},{j},{x:.9g},{y:.9g},{v:.9g}\n" for i, (x, y, v) in cells))
 
 
 def write_field_csv(path, field: ScalarField):
