@@ -14,6 +14,13 @@ is monotone (positivity preserving) for time steps within the CFL bound.
 Boundary handling: "open" uses zero-gradient ghost cells (outflow leaves the
 domain, diffusive boundary flux vanishes); "closed" zeroes every boundary
 flux and exists mainly so mass accounting can be tested.
+
+A step works on the raveled grid, values.reshape(nx * ny): each flux
+difference is one contiguous shift of a face array, with a strided fix-up
+where the face between two rows serves as a wall of both. Every element sees
+the operations of the 2D flux form in the same order, so results are bitwise
+equal to it. The step's temporaries live in per-thread scratch reused from
+step to step; each step still returns a fresh values array.
 """
 
 import math
@@ -127,9 +134,10 @@ def step(
     c = field.values.reshape(n)
     out = np.empty(n)
     scratch, delta, faces = _scratch(n, nx)
+    # each substep subtracts from the last one's result without a copy;
     # diffusion reads the advected field while it writes the result
-    adv = scratch if lam > 0 else out
-    adv[:] = c
+    dest = scratch if lam > 0 else out
+    adv = c
 
     # Face k of an axis with cell stride t lies between cells k - t and k, so
     # a flux difference is f[t:] - f[:-t]. Along x the face between two rows
@@ -149,7 +157,7 @@ def step(
             # and out; a shared face holds the other row's outflow flux
             wall = slice(0, n, nx) if vx > 0 else slice(nx - 1, n, nx)
             np.subtract(p[wall], p[wall], out=delta[wall])
-        adv -= np.multiply(delta, s, out=delta)
+        adv = np.subtract(adv, np.multiply(delta, s, out=delta), out=dest)
     if vy != 0.0:
         p = faces[nx:] if vy > 0 else faces[:n]
         np.multiply(c, vy, out=p)
@@ -158,10 +166,10 @@ def step(
         else:
             faces[:nx], faces[n:] = p[:nx], p[n - nx :]
         np.subtract(faces[nx:], faces[:n], out=delta)
-        adv -= np.multiply(delta, s, out=delta)
+        adv = np.subtract(adv, np.multiply(delta, s, out=delta), out=dest)
 
+    res = adv
     if lam > 0:
-        out[:] = adv
         for axis, t in enumerate((1, nx)):
             f = faces[: n + t]
             inner = f[t:n]
@@ -174,7 +182,9 @@ def step(
             else:
                 f[:nx] = f[n:] = 0.0
             np.subtract(f[t:], f[:n], out=delta)
-            out -= np.multiply(delta, s, out=delta)
+            res = np.subtract(res, np.multiply(delta, s, out=delta), out=out)
+    if res is c:
+        out[:] = c
 
     # flux differencing can leave ulp-scale negatives at the exact CFL limit
     np.maximum(out, 0.0, out=out)
