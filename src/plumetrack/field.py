@@ -15,12 +15,9 @@ Boundary handling: "open" uses zero-gradient ghost cells (outflow leaves the
 domain, diffusive boundary flux vanishes); "closed" zeroes every boundary
 flux and exists mainly so mass accounting can be tested.
 
-A step works on the raveled grid, values.reshape(nx * ny): each flux
-difference is one contiguous shift of a face array, with a strided fix-up
-where the face between two rows serves as a wall of both. Every element sees
-the operations of the 2D flux form in the same order, so results are bitwise
-equal to it. The step's temporaries live in per-thread scratch reused from
-step to step; each step still returns a fresh values array.
+A step works on the raveled grid, one contiguous shift per flux difference,
+and does the 2D flux form's operations in its order, so it is bitwise equal
+to it. Its temporaries are per-thread scratch reused across steps.
 """
 
 import math
@@ -116,8 +113,7 @@ def step(
 
     Upwind advection, then central diffusion, then injection of
     source.rate * dt / h^2 into the cell containing the source. Raises if dt
-    is not finite and positive or exceeds the stability bound, rather than
-    silently producing garbage.
+    is not finite and positive or exceeds the stability bound.
     """
     if boundary not in ("open", "closed"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
@@ -134,8 +130,7 @@ def step(
     c = field.values.reshape(n)
     out = np.empty(n)
     scratch, delta, faces = _scratch(n, nx)
-    # each substep subtracts from the last one's result without a copy;
-    # diffusion reads the advected field while it writes the result
+    # substeps chain without copies; diffusion reads `adv` while writing `out`
     dest = scratch if lam > 0 else out
     adv = c
 
@@ -183,14 +178,11 @@ def step(
                 f[:nx] = f[n:] = 0.0
             np.subtract(f[t:], f[:n], out=delta)
             res = np.subtract(res, np.multiply(delta, s, out=delta), out=out)
-    if res is c:
-        out[:] = c
 
     # flux differencing can leave ulp-scale negatives at the exact CFL limit
-    np.maximum(out, 0.0, out=out)
+    np.maximum(res, 0.0, out=out)
     if source.rate > 0:
-        si, sj = geom.cell_of(source.position)
-        out[sj * nx + si] += source.rate * dt / h**2
+        out[geom.flat_index(*geom.cell_of(source.position))] += source.rate * dt / h**2
     return ScalarField(geom, out.reshape(geom.ny, nx), field.time + dt)
 
 
