@@ -177,7 +177,8 @@ class TestFieldCommand:
         # a subprocess with a timeout, so a warm-up that never ends fails the
         # test instead of stalling the suite
         src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         out = tmp_path / "snap.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "plumetrack", "field", "--scenario", "scenario_a",
@@ -245,6 +246,7 @@ class TestCsvWriters:
             for j in range(ny)
             for i in range(nx)
         ]
+        header = ["i", "j", "x_m", "y_m", "probability"]
         write_grid_csv(tmp_path / "ours.csv", geom, values, "probability")
-        expected = _csv_module_bytes(tmp_path / "ref.csv", ["i", "j", "x_m", "y_m", "probability"], rows)
+        expected = _csv_module_bytes(tmp_path / "ref.csv", header, rows)
         assert (tmp_path / "ours.csv").read_bytes() == expected
