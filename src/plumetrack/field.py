@@ -145,7 +145,7 @@ def step(
         if boundary == "closed":
             f[::nx] = 0.0
         else:
-            f[0], f[n] = p[0], p[n - 1]
+            f[0], f[n] = p[0], p[n - 1]  # zero-gradient ghosts: the wall cell's flux
         np.subtract(f[1:], f[:n], out=delta)
         if boundary == "open":
             # an inflow wall's zero-gradient ghost gives its cell one flux in
