@@ -29,24 +29,8 @@ from .field import (
     step,
 )
 from .grid import GridGeometry
-from .mission import (
-    Mission,
-    MissionFeedback,
-    MissionGoal,
-    MissionStatus,
-    TrackResult,
-    cancel_mission,
-    run_mission,
-)
-from .planner import (
-    CandidateScore,
-    PlannerParams,
-    candidate_waypoints,
-    expected_information_gain,
-    information_gain,
-    predicted_hit_probability,
-    select_waypoint,
-)
+from .mission import Mission, MissionFeedback, MissionGoal, MissionStatus, TrackResult
+from .planner import CandidateScore, PlannerParams, candidate_waypoints, select_waypoint
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_from_dict
 from .uncertainty import (
     MarginalDist,

@@ -10,12 +10,7 @@ import numpy as np
 from . import io
 from .field import init_field, run_warmup
 from .mission import Mission, MissionGoal, MissionStatus, TrackResult
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    parse_scenario,
-    with_seed,
-)
+from .scenario import Scenario, ScenarioError, parse_scenario
 
 EXIT_OK = 0
 EXIT_ABORTED = 1
@@ -60,8 +55,7 @@ def run_single(
     scenario: Scenario, seed: int, out_dir: Path, trace: bool = False
 ) -> tuple[TrackResult, float]:
     """Run one mission and write the full artifact set into out_dir."""
-    scenario = with_seed(scenario, seed)
-    goal = MissionGoal.for_scenario(scenario)
+    goal = MissionGoal.for_scenario(scenario, seed=seed)
     mission = Mission(goal, rng=np.random.default_rng(seed), collect_trace=trace)
     t_start = time.perf_counter()
     result = mission.run()

@@ -109,10 +109,9 @@ class Mission:
         self._result: TrackResult | None = None
         self.log = MissionLog()
 
-        self.geometry = sc.geometry
         self.flow = sc.solver_flow()
         self.field = run_warmup(
-            init_field(self.geometry, 0.0), self.flow, sc.source, sc.warmup_s, sc.dt
+            init_field(sc.geometry, 0.0), self.flow, sc.source, sc.warmup_s, sc.dt
         )
         threshold = sc.sonde_threshold
         if threshold is None:
@@ -126,7 +125,7 @@ class Mission:
 
         speed = float(np.hypot(*sc.flow.v))
         self.v_hat = (sc.flow.v[0] / speed, sc.flow.v[1] / speed)
-        self.belief = uniform_belief(self.geometry)
+        self.belief = uniform_belief(sc.geometry)
         self.usv = UsvState(sc.usv_start, sc.usv_speed, time=self.field.time)
         self.last_hit: tuple[float, float] | None = None
         self._t0 = self.field.time
@@ -142,6 +141,8 @@ class Mission:
         return self
 
     def cancel(self):
+        """Stop at the next update boundary: run() then returns a canceled
+        result, or the result of a loop that already ended."""
         self._cancel.set()
 
     def result(self, timeout=None) -> TrackResult:
@@ -181,7 +182,7 @@ class Mission:
             # planner needs serves the update as well
             ctx = MeasurementContext(reading.position, self.v_hat, self.last_hit)
             kernel = detection_likelihood if reading.z else miss_likelihood
-            like = kernel(ctx, self.geometry, sc.planner)
+            like = kernel(ctx, sc.geometry, sc.planner)
             try:
                 self.belief = bayes_update(self.belief, like)
             except DegenerateUpdateError:
@@ -215,7 +216,7 @@ class Mission:
                 status = MissionStatus.SUCCEEDED
                 break
 
-            usv_cell = self.geometry.cell_of(self.usv.position)
+            usv_cell = sc.geometry.cell_of(self.usv.position)
             scores = score_candidates(self.belief, usv_cell, ctx, sc.planner)
             waypoint_cell = select_waypoint(self.belief, usv_cell, ctx, sc.planner, scores=scores)
             if self._collect_trace:
@@ -224,7 +225,7 @@ class Mission:
                         (self.updates_used, s.cell[0], s.cell[1], s.p_hit, s.ig,
                          int(s.cell == waypoint_cell))
                     )
-            waypoint = self.geometry.cell_center(*waypoint_cell)
+            waypoint = sc.geometry.cell_center(*waypoint_cell)
             self.log.trajectory.append(
                 (reading.time - self._t0, *reading.position,
                  reading.concentration, reading.z, *waypoint)
@@ -258,24 +259,10 @@ class Mission:
         while self.usv.position != tuple(waypoint):
             if self.usv.time + sc.dt - self._t0 > sc.max_sim_time_s:
                 return False
-            self.usv = advance_towards(self.usv, waypoint, sc.dt, self.geometry)
+            self.usv = advance_towards(self.usv, waypoint, sc.dt, sc.geometry)
             self.field = field_step(self.field, self.flow, sc.source, sc.dt)
             elapsed += sc.dt
             if sc.measure_mode == "continuous" and elapsed + 1e-9 >= self.sonde.sample_period:
                 break
         return True
 
-
-def run_mission(goal: MissionGoal, rng=None, feedback=None, collect_trace=False) -> TrackResult:
-    """Convenience synchronous wrapper around Mission."""
-    return Mission(goal, rng=rng, feedback=feedback, collect_trace=collect_trace).run()
-
-
-def cancel_mission(mission: Mission) -> TrackResult:
-    """Cancel at the next update boundary and return the (possibly prior) result.
-
-    Completed missions return their result unchanged; a mission that never
-    started runs inline just far enough to honour the cancellation.
-    """
-    mission.cancel()
-    return mission.run()

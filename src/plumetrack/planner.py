@@ -43,7 +43,6 @@ import numpy as np
 
 from .belief import (
     GridBelief,
-    LikelihoodField,
     MeasurementContext,
     angle_between,
     detection_block_weights,
@@ -123,7 +122,8 @@ def _hit_kernel_table(geometry: GridGeometry, v_hat: tuple[float, float], sigma2
 
 
 def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) -> list[float]:
-    """predicted_hit_probability for each cell, through one reused product buffer."""
+    """Belief-weighted chance that a measurement at each cell comes up hot,
+    clipped to [prob_clip, 1 - prob_clip], through one reused product buffer."""
     geom = belief.geometry
     table = _hit_kernel_table(geom, tuple(v_hat), params.sigma2_hit)
     product = np.empty_like(belief.probs)
@@ -134,13 +134,6 @@ def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) 
         np.multiply(belief.probs, kernel, out=product)
         out.append(min(max(params.detection_ceiling * float(product.sum()), lo), hi))
     return out
-
-
-def predicted_hit_probability(
-    belief: GridBelief, candidate: tuple[int, int], v_hat, params: PlannerParams
-) -> float:
-    """Belief-weighted chance that a measurement at the candidate comes up hot."""
-    return _hit_probabilities(belief, [candidate], v_hat, params)[0]
 
 
 def _update_kl(mass: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -155,23 +148,6 @@ def _update_kl(mass: np.ndarray, w: np.ndarray) -> np.ndarray:
     log_ratio = np.log(post, out=np.zeros_like(post), where=live)
     log_ratio -= np.log(mass, out=np.zeros_like(post), where=live)
     return (post * log_ratio).sum(axis=1)
-
-
-def information_gain(
-    belief: GridBelief,
-    hit_like: LikelihoodField,
-    miss_like: LikelihoodField,
-    p_hit: float,
-) -> float:
-    """Outcome-weighted KL divergence between predicted posteriors and belief.
-
-    A degenerate branch (likelihood annihilates the prior) keeps the prior
-    and contributes zero gain.
-    """
-    mass = belief.probs.reshape(1, -1)
-    kl_hit = _update_kl(mass, hit_like.weights.reshape(1, -1))[0]
-    kl_miss = _update_kl(mass, miss_like.weights.reshape(1, -1))[0]
-    return float(p_hit * kl_hit + (1.0 - p_hit) * kl_miss)
 
 
 def _block_axis(c: np.ndarray, r: int, n: int):
@@ -260,22 +236,13 @@ def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerPa
     return scores
 
 
-def expected_information_gain(
-    belief: GridBelief,
-    candidate: tuple[int, int],
-    ctx: MeasurementContext,
-    params: PlannerParams,
-) -> CandidateScore:
-    """Score one candidate, evaluating the kernels as if the USV were there."""
-    return _score(belief, [candidate], ctx, params)[0]
-
-
 def score_candidates(
     belief: GridBelief,
     usv_cell: tuple[int, int],
     ctx: MeasurementContext,
     params: PlannerParams,
 ) -> list[CandidateScore]:
+    """Score of each candidate_waypoints cell around usv_cell, in that order."""
     return _score(belief, candidate_waypoints(belief.geometry, usv_cell, params), ctx, params)
 
 

@@ -33,7 +33,7 @@ import hashlib
 import json
 import math
 import reprlib
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +123,8 @@ class Scenario:
             raise ScenarioError("sim.max_updates: must be >= 0")
         if not 0 <= self.max_sim_time_s < math.inf:
             raise ScenarioError("sim.max_sim_time_s: must be finite and >= 0")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ScenarioError(f"seed: must be >= 0, got {self.seed}")
 
     def solver_flow(self) -> FlowSpec:
         """The flow the solver runs: the effective diffusivity, when given, wins
@@ -312,14 +314,11 @@ def parse_scenario(name_or_path) -> Scenario:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: JSON nested too deeply to parse") from exc
     sha = hashlib.sha256(raw).hexdigest()
     try:
         return scenario_from_dict(data, source_sha256=sha)
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
-
-def with_seed(scenario: Scenario, seed: int) -> Scenario:
-    if seed == scenario.seed:
-        return scenario
-    return replace(scenario, seed=seed)

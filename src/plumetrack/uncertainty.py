@@ -17,15 +17,12 @@ from .belief import GridBelief
 
 @dataclass
 class MarginalDist:
-    """1D marginal of the belief along one axis ('x' or 'y')."""
+    """1D marginal of the belief along one axis."""
 
-    axis: str
     probs: np.ndarray
     cell_size: float
 
     def __post_init__(self):
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {self.axis!r}")
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("marginal needs a non-empty 1D probability vector")
@@ -43,7 +40,7 @@ def marginal(belief: GridBelief, axis: str) -> MarginalDist:
         p = belief.probs.sum(axis=1)
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return MarginalDist(axis, p / p.sum(), belief.geometry.h)
+    return MarginalDist(p / p.sum(), belief.geometry.h)
 
 
 def smallest_credible_interval(dist: MarginalDist, gamma: float) -> tuple[int, int]:

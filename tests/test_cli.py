@@ -97,6 +97,11 @@ class TestRunCommand:
         assert metrics["status"] == "aborted"
         assert metrics["estimate_m"] == pytest.approx([0.0, 0.0], abs=1e-9)
 
+    def test_negative_seed_names_its_key(self, small_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(small_file), "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_csv_layouts(self, small_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--scenario", str(small_file), "--out", str(out)])
@@ -153,6 +158,15 @@ class TestValidateCommand:
     def test_validate_bundled_names(self):
         for name in ("scenario_a", "scenario_b", "scenario_upwind"):
             assert main(["validate", "--scenario", name]) == 0
+
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys):
+        # json.loads raises RecursionError, not JSONDecodeError, on this file
+        path = tmp_path / "nested.json"
+        path.write_text('{"workspace": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "Traceback" not in err
 
     def test_unknown_scenario_exits_two(self):
         assert main(["validate", "--scenario", "no_such_scenario"]) == 2

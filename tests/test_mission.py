@@ -9,9 +9,7 @@ from plumetrack import (
     MissionGoal,
     MissionStatus,
     TrackResult,
-    cancel_mission,
     parse_scenario,
-    run_mission,
     scenario_from_dict,
 )
 
@@ -35,7 +33,7 @@ def small_scenario(**overrides):
 
 def test_zero_update_budget_aborts_with_uniform_estimate():
     goal = MissionGoal.for_scenario(small_scenario(), max_updates=0)
-    result = run_mission(goal)
+    result = Mission(goal).run()
     assert result.status == MissionStatus.ABORTED
     assert result.estimate == pytest.approx((0.0, 0.0), abs=1e-9)
     assert result.updates == 0
@@ -43,7 +41,7 @@ def test_zero_update_budget_aborts_with_uniform_estimate():
 
 def test_small_scenario_succeeds():
     goal = MissionGoal.for_scenario(small_scenario())
-    result = run_mission(goal)
+    result = Mission(goal).run()
     assert result.status == MissionStatus.SUCCEEDED
     assert result.error_m <= 10.0
     assert result.sci_m[0] <= 10.0 and result.sci_m[1] <= 10.0
@@ -51,8 +49,8 @@ def test_small_scenario_succeeds():
 
 def test_result_is_reproducible():
     goal = MissionGoal.for_scenario(small_scenario())
-    r1 = run_mission(goal, rng=np.random.default_rng(3))
-    r2 = run_mission(goal, rng=np.random.default_rng(3))
+    r1 = Mission(goal, rng=np.random.default_rng(3)).run()
+    r2 = Mission(goal, rng=np.random.default_rng(3)).run()
     assert r1 == r2
     assert dataclasses.asdict(r1) == dataclasses.asdict(r2)
 
@@ -62,7 +60,7 @@ def test_feedback_stream_is_reproducible_and_monotone():
     streams = []
     for _ in range(2):
         fb = []
-        run_mission(goal, feedback=fb.append)
+        Mission(goal, feedback=fb.append).run()
         streams.append(fb)
     assert streams[0] == streams[1]
     steps = [f.step for f in streams[0]]
@@ -75,19 +73,19 @@ def test_feedback_stream_is_reproducible_and_monotone():
 def test_feedback_emitted_once_per_update():
     goal = MissionGoal.for_scenario(small_scenario())
     fb = []
-    result = run_mission(goal, feedback=fb.append)
+    result = Mission(goal, feedback=fb.append).run()
     assert len(fb) == result.updates
 
 
 def test_budget_safety():
     goal = MissionGoal.for_scenario(small_scenario(), max_updates=7)
-    result = run_mission(goal)
+    result = Mission(goal).run()
     assert result.status == MissionStatus.ABORTED
     assert result.updates == 7
 
     # sim-time budget: a leg stops before its step would pass the budget
     goal = MissionGoal.for_scenario(small_scenario(), max_sim_time_s=30.0)
-    result = run_mission(goal)
+    result = Mission(goal).run()
     assert result.status == MissionStatus.ABORTED
     assert result.sim_time_s <= 30.0
 
@@ -112,8 +110,8 @@ def test_estimate_stays_inside_workspace():
     goal = MissionGoal.for_scenario(small_scenario())
     mission = Mission(goal)
     result = mission.run()
-    (x0, x1) = mission.geometry.x_bounds
-    (y0, y1) = mission.geometry.y_bounds
+    (x0, x1) = goal.scenario.geometry.x_bounds
+    (y0, y1) = goal.scenario.geometry.y_bounds
     for fb in mission.log.feedbacks:
         assert x0 <= fb.estimate[0] <= x1
         assert y0 <= fb.estimate[1] <= y1
@@ -134,7 +132,8 @@ def test_termination_soundness():
 def test_cancel_before_first_update():
     goal = MissionGoal.for_scenario(small_scenario())
     mission = Mission(goal)
-    result = cancel_mission(mission)
+    mission.cancel()
+    result = mission.run()
     assert result.status == MissionStatus.CANCELED
     assert result.estimate == pytest.approx((0.0, 0.0), abs=1e-9)
     assert result.updates == 0
@@ -161,7 +160,8 @@ def test_cancel_after_success_returns_result_unchanged():
     mission = Mission(goal)
     result = mission.run()
     assert result.status == MissionStatus.SUCCEEDED
-    again = cancel_mission(mission)
+    mission.cancel()
+    again = mission.run()
     assert again == result
 
 
@@ -176,7 +176,8 @@ def test_cancel_from_another_thread():
     mission = Mission(goal, feedback=slow_feedback)
     mission.start()
     assert barrier.wait(timeout=30.0)
-    result = cancel_mission(mission)
+    mission.cancel()
+    result = mission.run()
     assert result.status in (MissionStatus.CANCELED, MissionStatus.SUCCEEDED)
 
 
@@ -195,7 +196,7 @@ def test_underflowing_miss_kernel_keeps_the_prior():
     # sigma2_miss = 1e-9 zeroes whole predicted miss likelihoods; an all-zero
     # field is a degenerate update, not an invalid one
     sc = small_scenario(planner={"sigma2_miss": 1e-9})
-    result = run_mission(MissionGoal.for_scenario(sc))
+    result = Mission(MissionGoal.for_scenario(sc)).run()
     assert isinstance(result, TrackResult)
     assert result.status == MissionStatus.SUCCEEDED
 
@@ -233,7 +234,7 @@ def test_trajectory_rows_cover_all_readings():
 
 def test_continuous_measure_mode_runs_and_succeeds():
     sc = small_scenario(sonde={"measure_mode": "continuous", "sample_period": 4.0})
-    result = run_mission(MissionGoal.for_scenario(sc))
+    result = Mission(MissionGoal.for_scenario(sc)).run()
     assert result.status == MissionStatus.SUCCEEDED
     assert result.error_m <= 10.0
 

@@ -9,13 +9,9 @@ from hypothesis import given, settings, strategies as st
 from plumetrack import (
     GridBelief,
     GridGeometry,
-    LikelihoodField,
     MeasurementContext,
     PlannerParams,
     candidate_waypoints,
-    expected_information_gain,
-    information_gain,
-    predicted_hit_probability,
     select_waypoint,
     uniform_belief,
 )
@@ -26,7 +22,7 @@ from plumetrack.belief import (
     miss_likelihood,
 )
 import plumetrack.planner as planner
-from plumetrack.planner import _hit_kernel_table, score_candidates
+from plumetrack.planner import _hit_kernel_table, _hit_probabilities, _update_kl, score_candidates
 
 V_HAT = (1 / math.sqrt(2), 1 / math.sqrt(2))
 
@@ -35,6 +31,18 @@ def _ctx(geom, usv_cell, last_hit=None):
     return MeasurementContext(
         usv_pos=geom.cell_center(*usv_cell), v_hat=V_HAT, last_hit_pos=last_hit
     )
+
+
+def hit_probability(belief, cand, params):
+    return _hit_probabilities(belief, [cand], V_HAT, params)[0]
+
+
+def outcome_weighted_kl(belief, hit_weights, miss_weights, p_hit):
+    """p_hit * KL(hit posterior || belief) + (1 - p_hit) * KL(miss posterior || belief)."""
+    mass = belief.probs.reshape(1, -1)
+    kl_hit = _update_kl(mass, np.reshape(hit_weights, (1, -1)))[0]
+    kl_miss = _update_kl(mass, np.reshape(miss_weights, (1, -1)))[0]
+    return float(p_hit * kl_hit + (1.0 - p_hit) * kl_miss)
 
 
 def random_kernel_params(rng, **fixed):
@@ -85,7 +93,7 @@ class TestPredictedHitProbability:
         probs[5, 5] = 1.0  # cell (5,5); candidate (10,10) is downwind of it
         belief = GridBelief(geom, probs)
         params = PlannerParams()
-        p = predicted_hit_probability(belief, (10, 10), V_HAT, params)
+        p = hit_probability(belief, (10, 10), params)
         assert p == 1.0 - params.prob_clip
 
     def test_point_mass_downwind(self):
@@ -93,7 +101,7 @@ class TestPredictedHitProbability:
         probs = np.zeros((21, 21))
         probs[15, 15] = 1.0  # downwind of candidate (10,10): theta = pi
         belief = GridBelief(geom, probs)
-        p = predicted_hit_probability(belief, (10, 10), V_HAT, PlannerParams(sigma2_hit=1.0))
+        p = hit_probability(belief, (10, 10), PlannerParams(sigma2_hit=1.0))
         assert p == pytest.approx(math.exp(-(math.pi**2) / 2), rel=1e-9)
 
     def test_split_belief_mixes_kernel_values(self):
@@ -102,7 +110,7 @@ class TestPredictedHitProbability:
         probs[5, 5] = 0.5  # upwind: theta = 0
         probs[5, 15] = 0.5  # perpendicular-ish: theta = pi/2 for diagonal wind
         belief = GridBelief(geom, probs)
-        p = predicted_hit_probability(belief, (10, 10), V_HAT, PlannerParams(sigma2_hit=1.0))
+        p = hit_probability(belief, (10, 10), PlannerParams(sigma2_hit=1.0))
         expected = 0.5 * 1.0 + 0.5 * math.exp(-((math.pi / 2) ** 2) / 2)
         assert p == pytest.approx(expected, rel=1e-9)
         assert expected == pytest.approx(0.6456, abs=5e-5)
@@ -112,10 +120,8 @@ class TestPredictedHitProbability:
         probs = np.zeros((11, 11))
         probs[2, 2] = 1.0
         belief = GridBelief(geom, probs)
-        p_full = predicted_hit_probability(belief, (7, 7), V_HAT, PlannerParams())
-        p_half = predicted_hit_probability(
-            belief, (7, 7), V_HAT, PlannerParams(detection_ceiling=0.5)
-        )
+        p_full = hit_probability(belief, (7, 7), PlannerParams())
+        p_half = hit_probability(belief, (7, 7), PlannerParams(detection_ceiling=0.5))
         assert p_half == pytest.approx(0.5, abs=1e-6)
         assert p_full == pytest.approx(1.0, abs=1e-5)
 
@@ -127,8 +133,7 @@ class TestInformationGain:
         probs[4, 4] = 1.0
         belief = GridBelief(geom, probs)
         ctx = _ctx(geom, (2, 2))
-        for cand in candidate_waypoints(geom, (2, 2), PlannerParams(window_cells=3)):
-            score = expected_information_gain(belief, cand, ctx, PlannerParams(window_cells=3))
+        for score in score_candidates(belief, (2, 2), ctx, PlannerParams(window_cells=3)):
             assert abs(score.ig) <= 1e-12
 
     def test_uniform_likelihoods_give_zero_gain(self):
@@ -137,29 +142,29 @@ class TestInformationGain:
         geom = GridGeometry(nx=5, ny=1, h=1.0)
         belief = uniform_belief(geom)
         ctx = MeasurementContext(usv_pos=geom.cell_center(3, 0), v_hat=(1.0, 0.0))
-        score = expected_information_gain(belief, (4, 0), ctx, PlannerParams(window_cells=3))
-        assert abs(score.ig) <= 1e-12
+        scores = score_candidates(belief, (3, 0), ctx, PlannerParams(window_cells=3))
+        assert abs({s.cell: s for s in scores}[(4, 0)].ig) <= 1e-12
 
     def test_two_cell_hand_computation(self):
         # frozen from direct evaluation of the outcome-weighted KL formula
         geom = GridGeometry(nx=2, ny=1, h=1.0)
         belief = GridBelief(geom, np.array([[0.5, 0.5]]))
-        det = LikelihoodField(geom, np.array([[1.0, 0.1]]))
-        miss = LikelihoodField(geom, np.array([[1.0, 1.0]]))
+        det = np.array([[1.0, 0.1]])
+        miss = np.array([[1.0, 1.0]])
         p_ta = np.array([10 / 11, 1 / 11])
         expected = 0.5 * (
             p_ta[0] * math.log(p_ta[0] / 0.5) + p_ta[1] * math.log(p_ta[1] / 0.5)
         )
-        ig = information_gain(belief, det, miss, p_hit=0.5)
+        ig = outcome_weighted_kl(belief, det, miss, p_hit=0.5)
         assert ig == pytest.approx(expected, rel=1e-12)
         assert ig == pytest.approx(0.194256, abs=1e-6)
 
     def test_degenerate_branch_contributes_zero(self):
         geom = GridGeometry(nx=2, ny=1, h=1.0)
         belief = GridBelief(geom, np.array([[1.0, 0.0]]))
-        det = LikelihoodField(geom, np.array([[0.0, 1.0]]))  # annihilates prior
-        miss = LikelihoodField(geom, np.array([[1.0, 1.0]]))
-        assert information_gain(belief, det, miss, p_hit=0.7) == 0.0
+        det = np.array([[0.0, 1.0]])  # annihilates prior
+        miss = np.array([[1.0, 1.0]])
+        assert outcome_weighted_kl(belief, det, miss, p_hit=0.7) == 0.0
 
     def test_non_negative_over_random_cases(self):
         rng = np.random.default_rng(123)
@@ -173,8 +178,8 @@ class TestInformationGain:
             if rng.random() < 0.5:
                 last_hit = geom.cell_center(int(rng.integers(0, 6)), int(rng.integers(0, 6)))
             ctx = _ctx(geom, usv_cell, last_hit=last_hit)
-            for cand in candidate_waypoints(geom, usv_cell, params):
-                assert expected_information_gain(belief, cand, ctx, params).ig >= -1e-12
+            for score in score_candidates(belief, usv_cell, ctx, params):
+                assert score.ig >= -1e-12
 
 
 def brute_force_select(belief, usv_cell, ctx, params):
@@ -373,12 +378,8 @@ class TestSelectWaypoint:
         belief = GridBelief(geom, p / p.sum())
         det = rng.random((8, 8)) + 0.05
         miss = rng.random((8, 8)) + 0.05
-        ig1 = information_gain(
-            belief, LikelihoodField(geom, det), LikelihoodField(geom, miss), 0.4
-        )
-        ig2 = information_gain(
-            belief, LikelihoodField(geom, 7.3 * det), LikelihoodField(geom, 0.002 * miss), 0.4
-        )
+        ig1 = outcome_weighted_kl(belief, det, miss, 0.4)
+        ig2 = outcome_weighted_kl(belief, 7.3 * det, 0.002 * miss, 0.4)
         assert ig1 == pytest.approx(ig2, abs=1e-12)
 
 

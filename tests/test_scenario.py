@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
@@ -9,21 +9,23 @@ import pytest
 from plumetrack import (
     FlowSpec,
     GridGeometry,
+    Mission,
     MissionGoal,
     MissionStatus,
+    PlannerParams,
     Scenario,
     ScenarioError,
     SourceSpec,
     parse_scenario,
-    run_mission,
     scenario_from_dict,
 )
 from plumetrack.cli import main
 from plumetrack.scenario import (
+    _DEFAULT_LAMBDA,
+    _FLAT_FIELDS,
     bundled_scenario_names,
     resolve_scenario_path,
     serialize_scenario,
-    with_seed,
 )
 
 
@@ -171,7 +173,7 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=r"workspace: a 1x1 grid"):
             scenario_from_dict(cfg)
         cfg["stopping"] = {"tau_m": 5.0}
-        result = run_mission(MissionGoal(scenario_from_dict(cfg)))
+        result = Mission(MissionGoal(scenario_from_dict(cfg))).run()
         assert result.status == MissionStatus.SUCCEEDED
         assert result.updates == 1
 
@@ -206,6 +208,9 @@ NON_FINITE_FIELDS = {
     "flow.diffusivity=inf": (lambda sc: FlowSpec((1.0, 0.0), math.inf), "diffusivity"),
     "workspace.h=inf": (lambda sc: GridGeometry(4, 4, math.inf), "h"),
     "workspace.origin=nan": (lambda sc: GridGeometry(4, 4, 1.0, (0.0, math.nan)), "origin"),
+    # not a non-finite value, but rejected the same way: numpy's generators
+    # would reject it later without naming the key
+    "seed=-1": (lambda sc: MissionGoal.for_scenario(sc, seed=-1), "seed"),
 }
 
 
@@ -255,8 +260,49 @@ class TestRoundTrip:
         again = scenario_from_dict(json.loads(serialize_scenario(sc)))
         assert again == sc
 
-    def test_with_seed(self):
+    def test_seed_override(self):
         sc = scenario_from_dict(minimal_config())
-        assert with_seed(sc, 5).seed == 5
-        assert with_seed(sc, 0) is sc
-        assert with_seed(sc, 5) != sc
+        assert MissionGoal.for_scenario(sc, seed=5).scenario.seed == 5
+        assert MissionGoal.for_scenario(sc, seed=0).scenario == sc
+        assert MissionGoal.for_scenario(sc, seed=5).scenario != sc
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_defaults():
+    """{(section, key): default text} from the README scenario table, where a
+    default is the backquoted value in the parentheses after a backquoted key,
+    as in `speed` (`2.0` m/s). The seed row names no key."""
+    shown = {}
+    for section, keys in re.findall(r"^\| `(\w+)` \| (.*) \|$", README.read_text(), re.M):
+        if section == "seed":
+            keys = "`seed` " + keys.removeprefix("base RNG seed ")
+        for key, text in re.findall(r"`(\w+)` \([^)`]*`([^`]+)`", keys):
+            shown[section, key] = text
+    return shown
+
+
+def field_defaults():
+    """{(section, key): default} for every key whose dataclass field default is
+    a value, and flow.lambda's _DEFAULT_LAMBDA."""
+    defaults = {("flow", "lambda"): _DEFAULT_LAMBDA}
+    sections = (("workspace", GridGeometry), ("source", SourceSpec), ("planner", PlannerParams))
+    for section, cls in sections:
+        defaults.update({(section, f.name): f.default for f in fields(cls)})
+    by_name = {f.name: f.default for f in fields(Scenario)}
+    for section, key, name, _ in _FLAT_FIELDS:
+        defaults["seed" if key == "seed" else section, key] = by_name[name]
+    return {k: v for k, v in defaults.items() if v is not MISSING and v is not None}
+
+
+def test_readme_table_shows_the_field_defaults():
+    shown, defaults = readme_defaults(), field_defaults()
+    assert shown.keys() == defaults.keys()
+    for (section, key), text in shown.items():
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text  # a bare word such as on_arrival
+        default = defaults[section, key]
+        assert value == (list(default) if isinstance(default, tuple) else default), (section, key)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plumetrack import (
     GridBelief,
@@ -37,7 +38,7 @@ def exhaustive_sci(probs, gamma):
 
 def _dist(probs):
     p = np.asarray(probs, dtype=float)
-    return MarginalDist("x", p / p.sum(), 1.0)
+    return MarginalDist(p / p.sum(), 1.0)
 
 
 class TestMarginal:
@@ -138,6 +139,30 @@ class TestSmallestCredibleInterval:
                 lo, hi = smallest_credible_interval(_dist(p), gamma)
                 widths.append(hi - lo)
             assert all(a <= b for a, b in zip(widths, widths[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 5e-324, 1.0, 2.0, 3.0]), min_size=1, max_size=40).filter(
+            lambda w: max(w) >= 1.0
+        ),
+        st.sampled_from([0.25, 0.5, 0.75, 0.9, 0.99]) | st.floats(0.01, 0.99),
+    )
+    # length ties resolved by mass, equal masses by the lowest index, with
+    # zero and subnormal masses in and around the intervals
+    @example([2.0, 2.0, 0.0, 3.0, 3.0], 0.35)
+    @example([1.0, 0.0, 1.0], 0.5)
+    @example([5e-324, 1.0, 0.0, 1.0, 5e-324], 0.5)
+    @example([0.0, 5e-324, 1.0, 5e-324, 0.0], 0.99)
+    def test_matches_oracle_on_ties_and_tiny_masses(self, weights, gamma):
+        # whole weights repeat, so many intervals tie exactly; zero and
+        # 5e-324 are kept as masses, since dividing them by the total would
+        # round the subnormal to zero
+        w = np.array(weights)
+        heavy = w >= 1.0
+        p = np.where(heavy, w / w[heavy].sum(), w)
+        got = smallest_credible_interval(MarginalDist(p, 1.0), gamma)
+        lo, hi, _ = exhaustive_sci(p, gamma)
+        assert got == (lo, hi)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
