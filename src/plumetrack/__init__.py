@@ -30,7 +30,7 @@ from .field import (
 )
 from .grid import GridGeometry
 from .mission import Mission, MissionFeedback, MissionGoal, MissionStatus, TrackResult
-from .planner import CandidateScore, PlannerParams, candidate_waypoints, select_waypoint
+from .planner import PlannerParams, candidate_waypoints, select_waypoint
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_from_dict
 from .uncertainty import (
     MarginalDist,

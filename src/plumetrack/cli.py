@@ -84,7 +84,6 @@ def _cmd_batch(args) -> int:
     scenario = parse_scenario(args.scenario)
     base_seed = args.seed if args.seed is not None else scenario.seed
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     trials: list[tuple[int, TrackResult]] = []
     for t in range(args.trials):

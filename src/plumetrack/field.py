@@ -88,17 +88,15 @@ def init_field(geometry: GridGeometry, c0: float = 0.0) -> ScalarField:
     return ScalarField(geometry, np.full((geometry.ny, geometry.nx), float(c0)), 0.0)
 
 
-def max_stable_dt(flow: FlowSpec, geometry: GridGeometry, cfl: float = 1.0) -> float:
-    """Largest dt with (|vx|+|vy|)*dt/h <= cfl and 4*lambda*dt/h^2 <= cfl.
+def max_stable_dt(flow: FlowSpec, geometry: GridGeometry) -> float:
+    """Largest dt with (|vx|+|vy|)*dt/h <= 1 and 4*lambda*dt/h^2 <= 1.
 
     Returns +inf when there is no transport at all (v = 0 and lambda = 0).
     """
-    if not 0 < cfl <= 1:
-        raise ValueError(f"cfl must be in (0, 1], got {cfl}")
     h = geometry.h
     speed = abs(flow.v[0]) + abs(flow.v[1])
-    dt_adv = cfl * h / speed if speed > 0 else math.inf
-    dt_diff = cfl * h**2 / (4.0 * flow.diffusivity) if flow.diffusivity > 0 else math.inf
+    dt_adv = h / speed if speed > 0 else math.inf
+    dt_diff = h**2 / (4.0 * flow.diffusivity) if flow.diffusivity > 0 else math.inf
     return min(dt_adv, dt_diff)
 
 
@@ -119,7 +117,7 @@ def step(
         raise ValueError(f"unknown boundary mode {boundary!r}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    bound = max_stable_dt(flow, field.geometry, 1.0)
+    bound = max_stable_dt(flow, field.geometry)
     if dt > bound * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} exceeds stability bound {bound}")
 

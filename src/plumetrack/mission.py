@@ -220,10 +220,10 @@ class Mission:
             scores = score_candidates(self.belief, usv_cell, ctx, sc.planner)
             waypoint_cell = select_waypoint(self.belief, usv_cell, ctx, sc.planner, scores=scores)
             if self._collect_trace:
-                for s in scores:
+                cells, ig, p_hit = scores
+                for cell, p, g in zip(cells, p_hit.tolist(), ig.tolist()):
                     self.log.trace.append(
-                        (self.updates_used, s.cell[0], s.cell[1], s.p_hit, s.ig,
-                         int(s.cell == waypoint_cell))
+                        (self.updates_used, *cell, p, g, int(cell == waypoint_cell))
                     )
             waypoint = sc.geometry.cell_center(*waypoint_cell)
             self.log.trajectory.append(

@@ -33,7 +33,9 @@ is not clamped, so p_hit stays a full-grid product with a slice of one kernel
 table, per candidate. The pass takes the candidates in chunks whose block
 arrays hold at most max(2^16, nx * ny) elements, so a wide window or a radius
 past the grid cannot hold C * nx * ny numbers at once; the bundled scenarios
-fit one chunk.
+fit one chunk. The scores are two float64 arrays, ig and p_hit, aligned with
+the list of candidate cells, so scoring and selection build no object per
+candidate.
 """
 
 from dataclasses import dataclass
@@ -78,13 +80,6 @@ class PlannerParams:
             raise ValueError(f"local_radius_cells: must be >= 0, got {self.local_radius_cells}")
 
 
-@dataclass(frozen=True)
-class CandidateScore:
-    cell: tuple[int, int]
-    ig: float
-    p_hit: float
-
-
 def candidate_waypoints(
     geometry: GridGeometry, usv_cell: tuple[int, int], params: PlannerParams
 ) -> list[tuple[int, int]]:
@@ -121,19 +116,18 @@ def _hit_kernel_table(geometry: GridGeometry, v_hat: tuple[float, float], sigma2
     return table
 
 
-def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) -> list[float]:
+def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) -> np.ndarray:
     """Belief-weighted chance that a measurement at each cell comes up hot,
     clipped to [prob_clip, 1 - prob_clip], through one reused product buffer."""
     geom = belief.geometry
     table = _hit_kernel_table(geom, tuple(v_hat), params.sigma2_hit)
     product = np.empty_like(belief.probs)
-    lo, hi = params.prob_clip, 1.0 - params.prob_clip
-    out = []
-    for ci, cj in cells:
+    sums = np.empty(len(cells))
+    for c, (ci, cj) in enumerate(cells):
         kernel = table[cj : cj + geom.ny, ci : ci + geom.nx][::-1, ::-1]
         np.multiply(belief.probs, kernel, out=product)
-        out.append(min(max(params.detection_ceiling * float(product.sum()), lo), hi))
-    return out
+        sums[c] = product.sum()
+    return np.clip(params.detection_ceiling * sums, params.prob_clip, 1.0 - params.prob_clip)
 
 
 def _update_kl(mass: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -216,24 +210,21 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerParams):
-    """Scores of the given cells from their covered blocks (see the module
-    docstring), in chunks of candidates."""
+    """(ig, p_hit) arrays of the given cells, in their order, from their
+    covered blocks (see the module docstring), in chunks of candidates."""
     geom = belief.geometry
     # a block stops at the grid, and so does a larger radius, which int64 may not hold
     r = min(params.local_radius_cells, max(geom.nx, geom.ny))
     block = min(2 * r + 1, geom.ny) * min(2 * r + 1, geom.nx)
     per_chunk = max(_BLOCK_ELEMENTS, geom.k) // block
     tables = _anchored_sums(belief.probs)
-    scores = []
+    ig, p_hit = np.empty(len(cells)), np.empty(len(cells))
     for start in range(0, len(cells), per_chunk):
-        chunk = cells[start : start + per_chunk]
-        kl_hit, kl_miss = _block_kls(geom, tables, chunk, ctx, r, params)
-        p_hits = _hit_probabilities(belief, chunk, ctx.v_hat, params)
-        scores += [
-            CandidateScore(cell=cell, ig=float(p * kh + (1.0 - p) * km), p_hit=p)
-            for cell, p, kh, km in zip(chunk, p_hits, kl_hit, kl_miss)
-        ]
-    return scores
+        part = slice(start, start + per_chunk)
+        kl_hit, kl_miss = _block_kls(geom, tables, cells[part], ctx, r, params)
+        p = p_hit[part] = _hit_probabilities(belief, cells[part], ctx.v_hat, params)
+        ig[part] = p * kl_hit + (1.0 - p) * kl_miss
+    return ig, p_hit
 
 
 def score_candidates(
@@ -241,9 +232,12 @@ def score_candidates(
     usv_cell: tuple[int, int],
     ctx: MeasurementContext,
     params: PlannerParams,
-) -> list[CandidateScore]:
-    """Score of each candidate_waypoints cell around usv_cell, in that order."""
-    return _score(belief, candidate_waypoints(belief.geometry, usv_cell, params), ctx, params)
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """(cells, ig, p_hit): the candidate_waypoints cells around usv_cell and
+    two float64 arrays holding each cell's gain and hit probability, in that
+    order."""
+    cells = candidate_waypoints(belief.geometry, usv_cell, params)
+    return (cells, *_score(belief, cells, ctx, params))
 
 
 def select_waypoint(
@@ -251,25 +245,21 @@ def select_waypoint(
     usv_cell: tuple[int, int],
     ctx: MeasurementContext,
     params: PlannerParams,
-    scores: list[CandidateScore] | None = None,
+    scores: tuple[list[tuple[int, int]], np.ndarray, np.ndarray] | None = None,
 ) -> tuple[int, int]:
     """Candidate cell with maximal gain; deterministic tie-breaks.
 
-    Scores within 1e-12 of the maximum count as tied and resolve by squared
-    cell distance to usv_cell, then row-major (flat) cell index. Pass the
+    Gains within 1e-12 of the maximum count as tied and resolve by squared
+    cell distance to usv_cell, then row-major cell order (j, then i). Pass the
     score_candidates result as scores to reuse it; the mission does.
     """
-    if scores is None:
-        scores = score_candidates(belief, usv_cell, ctx, params)
-    if not scores:
+    cells, ig, _ = scores if scores is not None else score_candidates(belief, usv_cell, ctx, params)
+    if not cells:
         raise ValueError("no candidate waypoints (grid too small)")
-    best = max(s.ig for s in scores)
-    tied = [s for s in scores if s.ig >= best - 1e-12]
-    geom = belief.geometry
+    ci, cj = usv_cell
 
-    def rank(score: CandidateScore):
-        i, j = score.cell
-        d2 = (i - usv_cell[0]) ** 2 + (j - usv_cell[1]) ** 2
-        return (d2, geom.flat_index(i, j))
+    def rank(c):
+        i, j = cells[c]
+        return ((i - ci) ** 2 + (j - cj) ** 2, j, i)
 
-    return min(tied, key=rank).cell
+    return cells[min(np.flatnonzero(ig >= ig.max() - 1e-12), key=rank)]

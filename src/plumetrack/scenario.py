@@ -114,7 +114,7 @@ class Scenario:
         lam = self.effective_diffusivity_override
         if lam is not None and not 0 <= lam < math.inf:
             raise ScenarioError("flow.effective_lambda: must be finite and >= 0 when given")
-        bound = max_stable_dt(self.solver_flow(), self.geometry, 1.0)
+        bound = max_stable_dt(self.solver_flow(), self.geometry)
         if self.dt > bound * (1.0 + 1e-12):
             raise ScenarioError(f"sim.dt: {self.dt} exceeds the stability bound {bound:.6g}")
         if not 0 <= self.warmup_s < math.inf:

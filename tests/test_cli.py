@@ -101,6 +101,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(small_file), "--seed", "-1", "--out", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_layouts(self, small_file, tmp_path):
         out = tmp_path / "out"
@@ -143,6 +144,13 @@ class TestBatchCommand:
 
     def test_batch_requires_positive_trials(self, small_file, tmp_path):
         assert main(["batch", "--scenario", str(small_file), "--trials", "0"]) == 2
+
+    def test_negative_seed_leaves_no_out_dir(self, small_file, tmp_path, capsys):
+        out = tmp_path / "batch"
+        argv = ["batch", "--scenario", str(small_file), "--trials", "1", "--seed", "-1"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidateCommand:

@@ -42,29 +42,22 @@ def test_init_field_rejects_negative():
 
 def test_max_stable_dt_advection_bound():
     flow = FlowSpec(v=(1.2247, 1.2247), diffusivity=0.0)
-    expected = 5.0 * 1.0 / (abs(1.2247) + abs(1.2247))
-    assert max_stable_dt(flow, PAPER_GRID, 1.0) == pytest.approx(expected, rel=1e-12)
+    expected = 5.0 / (abs(1.2247) + abs(1.2247))
+    assert max_stable_dt(flow, PAPER_GRID) == pytest.approx(expected, rel=1e-12)
 
 
 def test_max_stable_dt_no_transport():
     flow = FlowSpec(v=(0.0, 0.0), diffusivity=0.0)
-    assert max_stable_dt(flow, PAPER_GRID, 1.0) == math.inf
+    assert max_stable_dt(flow, PAPER_GRID) == math.inf
 
 
 def test_max_stable_dt_molecular_diffusion_negligible():
     # at h = 5 m the advection bound dominates the molecular-diffusivity bound
-    adv_only = max_stable_dt(FlowSpec((1.2247, 1.2247), 0.0), PAPER_GRID, 1.0)
-    both = max_stable_dt(FlowSpec((1.2247, 1.2247), 4.9e-10), PAPER_GRID, 1.0)
+    adv_only = max_stable_dt(FlowSpec((1.2247, 1.2247), 0.0), PAPER_GRID)
+    both = max_stable_dt(FlowSpec((1.2247, 1.2247), 4.9e-10), PAPER_GRID)
     assert both == pytest.approx(adv_only, rel=1e-10)
-    diff_bound = 1.0 * 5.0**2 / (4 * 4.9e-10)
+    diff_bound = 5.0**2 / (4 * 4.9e-10)
     assert diff_bound > adv_only
-
-
-def test_max_stable_dt_rejects_bad_cfl():
-    with pytest.raises(ValueError):
-        max_stable_dt(FlowSpec((1.0, 0.0)), PAPER_GRID, 0.0)
-    with pytest.raises(ValueError):
-        max_stable_dt(FlowSpec((1.0, 0.0)), PAPER_GRID, 1.5)
 
 
 def test_step_no_dynamics_advances_time_only():
@@ -110,7 +103,7 @@ def test_nan_concentration_rejected():
 def test_step_rejects_unstable_dt():
     flow = FlowSpec((1.2247, 1.2247), 0.0)
     f = init_field(PAPER_GRID, 0.0)
-    bound = max_stable_dt(flow, PAPER_GRID, 1.0)
+    bound = max_stable_dt(flow, PAPER_GRID)
     with pytest.raises(ValueError):
         step(f, flow, NO_SOURCE, dt=bound * 1.01)
 
@@ -170,7 +163,7 @@ def test_closed_boundary_mass_after_each_step():
     flow = FlowSpec((0.4, -0.3), 0.05)
     f = init_field(geom, 1.0)
     m0 = f.total_mass()
-    dt = 0.5 * max_stable_dt(flow, geom, 1.0)
+    dt = 0.5 * max_stable_dt(flow, geom)
     for n in range(1, 51):
         f = step(f, flow, source, dt, boundary="closed")
         assert f.total_mass() == pytest.approx(m0 + n * source.rate * dt, rel=1e-9)
@@ -182,7 +175,7 @@ def test_positivity_random_stable_steps():
     f = ScalarField(geom, rng.random((16, 20)), 0.0)
     for k in range(200):
         flow = FlowSpec(tuple(rng.uniform(-2, 2, size=2)), float(rng.uniform(0, 0.5)))
-        dt = float(rng.uniform(0.1, 1.0)) * max_stable_dt(flow, geom, 1.0)
+        dt = float(rng.uniform(0.1, 1.0)) * max_stable_dt(flow, geom)
         f = step(f, flow, NO_SOURCE, dt)
         assert f.values.min() >= 0.0
 
@@ -318,7 +311,7 @@ def step_cases(draw):
     speed = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 2.0))
     lam = draw(st.one_of(st.just(0.0), st.just(4.9e-10), st.floats(0.0, 0.5)))
     flow = FlowSpec((draw(speed), draw(speed)), lam)
-    bound = max_stable_dt(flow, geom, 1.0)
+    bound = max_stable_dt(flow, geom)
     scale = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
     dt = scale * (bound if bound < math.inf else 1.0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

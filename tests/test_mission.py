@@ -232,6 +232,21 @@ def test_trajectory_rows_cover_all_readings():
     assert final[5] is None and final[6] is None  # no waypoint after success
 
 
+def test_trace_selects_each_steps_waypoint_at_its_largest_gain():
+    mission = Mission(MissionGoal.for_scenario(small_scenario()), collect_trace=True)
+    result = mission.run()
+    geom = mission.goal.scenario.geometry
+    by_step = {}
+    for row in mission.log.trace:
+        by_step.setdefault(row[0], []).append(row)
+    # every update but the successful last one plans a waypoint
+    assert sorted(by_step) == list(range(1, result.updates))
+    for step, rows in by_step.items():
+        (selected,) = [row for row in rows if row[5] == 1]
+        assert geom.cell_center(selected[1], selected[2]) == mission.log.trajectory[step - 1][5:]
+        assert selected[4] >= max(row[4] for row in rows) - 1e-12
+
+
 def test_continuous_measure_mode_runs_and_succeeds():
     sc = small_scenario(sonde={"measure_mode": "continuous", "sample_period": 4.0})
     result = Mission(MissionGoal.for_scenario(sc)).run()

@@ -133,8 +133,8 @@ class TestInformationGain:
         probs[4, 4] = 1.0
         belief = GridBelief(geom, probs)
         ctx = _ctx(geom, (2, 2))
-        for score in score_candidates(belief, (2, 2), ctx, PlannerParams(window_cells=3)):
-            assert abs(score.ig) <= 1e-12
+        _, ig, _ = score_candidates(belief, (2, 2), ctx, PlannerParams(window_cells=3))
+        assert np.abs(ig).max() <= 1e-12
 
     def test_uniform_likelihoods_give_zero_gain(self):
         # all cells strictly upwind in a single row: the detection kernel is
@@ -142,8 +142,8 @@ class TestInformationGain:
         geom = GridGeometry(nx=5, ny=1, h=1.0)
         belief = uniform_belief(geom)
         ctx = MeasurementContext(usv_pos=geom.cell_center(3, 0), v_hat=(1.0, 0.0))
-        scores = score_candidates(belief, (3, 0), ctx, PlannerParams(window_cells=3))
-        assert abs({s.cell: s for s in scores}[(4, 0)].ig) <= 1e-12
+        cells, ig, _ = score_candidates(belief, (3, 0), ctx, PlannerParams(window_cells=3))
+        assert abs(ig[cells.index((4, 0))]) <= 1e-12
 
     def test_two_cell_hand_computation(self):
         # frozen from direct evaluation of the outcome-weighted KL formula
@@ -178,8 +178,8 @@ class TestInformationGain:
             if rng.random() < 0.5:
                 last_hit = geom.cell_center(int(rng.integers(0, 6)), int(rng.integers(0, 6)))
             ctx = _ctx(geom, usv_cell, last_hit=last_hit)
-            for score in score_candidates(belief, usv_cell, ctx, params):
-                assert score.ig >= -1e-12
+            _, ig, _ = score_candidates(belief, usv_cell, ctx, params)
+            assert ig.min() >= -1e-12
 
 
 def brute_force_select(belief, usv_cell, ctx, params):
@@ -356,6 +356,9 @@ class TestSelectWaypoint:
             got = select_waypoint(belief, usv_cell, ctx, params)
             want = brute_force_select(belief, usv_cell, ctx, params)
             assert got == want, f"trial {trial} ({params}): planner {got} vs brute force {want}"
+            # the mission's path: the scores computed once and passed in
+            scores = score_candidates(belief, usv_cell, ctx, params)
+            assert select_waypoint(belief, usv_cell, ctx, params, scores=scores) == want
 
     def test_determinism(self):
         geom = GridGeometry(nx=12, ny=10, h=3.0)
@@ -388,9 +391,11 @@ class TestScoreCandidates:
         geom = GridGeometry(nx=10, ny=10, h=1.0)
         belief = uniform_belief(geom)
         params = PlannerParams(window_cells=3)
-        scores = score_candidates(belief, (5, 5), _ctx(geom, (5, 5)), params)
-        assert [s.cell for s in scores] == candidate_waypoints(geom, (5, 5), params)
-        assert all(0 < s.p_hit < 1 for s in scores)
+        cells, ig, p_hit = score_candidates(belief, (5, 5), _ctx(geom, (5, 5)), params)
+        assert cells == candidate_waypoints(geom, (5, 5), params)
+        for scores in (ig, p_hit):
+            assert scores.dtype == np.float64 and scores.shape == (len(cells),)
+        assert np.all((0 < p_hit) & (p_hit < 1))
 
 
 def per_candidate_reference(belief, cand, ctx, params):
@@ -472,11 +477,11 @@ class TestBatchedScoring:
     @given(scoring_cases())
     def test_matches_per_candidate_reference(self, case):
         belief, usv_cell, ctx, params = case
-        for score in score_candidates(belief, usv_cell, ctx, params):
-            p_hit, ig = per_candidate_reference(belief, score.cell, ctx, params)
-            assert score.p_hit == p_hit, score.cell
+        for cell, got_ig, got_p_hit in zip(*score_candidates(belief, usv_cell, ctx, params)):
+            p_hit, ig = per_candidate_reference(belief, cell, ctx, params)
+            assert got_p_hit == p_hit, cell
             # the tie tolerance of select_waypoint
-            assert abs(score.ig - ig) <= 1e-12, (score.cell, score.ig, ig)
+            assert abs(got_ig - ig) <= 1e-12, (cell, got_ig, ig)
 
     def test_chunked_scores_match_one_pass(self, monkeypatch):
         # a radius past the grid makes every block the whole grid, so a
@@ -486,9 +491,12 @@ class TestBatchedScoring:
         belief = GridBelief(geom, probs / probs.sum())
         params = PlannerParams(window_cells=7, local_radius_cells=12)
         ctx = _ctx(geom, (4, 3), last_hit=geom.cell_center(1, 5))
-        one_pass = score_candidates(belief, (4, 3), ctx, params)
+        cells, *one_pass = score_candidates(belief, (4, 3), ctx, params)
         monkeypatch.setattr(planner, "_BLOCK_ELEMENTS", 1)
-        assert score_candidates(belief, (4, 3), ctx, params) == one_pass
+        chunked_cells, *chunked = score_candidates(belief, (4, 3), ctx, params)
+        assert chunked_cells == cells
+        for got, want in zip(chunked, one_pass):
+            assert got.tobytes() == want.tobytes()
 
     def test_memory_stays_bounded_for_a_wide_window_past_the_grid(self):
         # 2,399 candidates whose blocks are the whole 60x40 grid: one
@@ -500,10 +508,10 @@ class TestBatchedScoring:
         ctx = _ctx(geom, (30, 20), last_hit=geom.cell_center(0, 0))
         tracemalloc.start()
         try:
-            scores = score_candidates(belief, (30, 20), ctx, params)
+            cells, _, _ = score_candidates(belief, (30, 20), ctx, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(scores) == geom.k - 1
+        assert len(cells) == geom.k - 1
         # a few float arrays of one chunk's size: O(grid), far below 46 MB
         assert peak < 16 * 8 * max(planner._BLOCK_ELEMENTS, geom.k)
