@@ -65,7 +65,12 @@ def write_uncertainty_csv(path, rows):
 
 
 def write_trace_csv(path, rows):
-    _write_csv(path, ["step", "cand_i", "cand_j", "p_hit", "ig", "selected"], rows)
+    """Planner trace rows (step, i, j, p_hit, ig, selected), all ints and
+    floats, formatted as _write_csv would: one f-string per row."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write("step,cand_i,cand_j,p_hit,ig,selected\n")
+        for step, i, j, p, g, sel in rows:
+            fh.write(f"{step},{i},{j},{p:.9g},{g:.9g},{sel}\n")
 
 
 def dumps_json(obj, indent=0) -> str:

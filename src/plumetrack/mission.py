@@ -128,6 +128,7 @@ class Mission:
         self.belief = uniform_belief(sc.geometry)
         self.usv = UsvState(sc.usv_start, sc.usv_speed, time=self.field.time)
         self.last_hit: tuple[float, float] | None = None
+        self._scores: list = []  # score_candidates' memory
         self._t0 = self.field.time
         self.updates_used = 0
 
@@ -217,7 +218,7 @@ class Mission:
                 break
 
             usv_cell = sc.geometry.cell_of(self.usv.position)
-            scores = score_candidates(self.belief, usv_cell, ctx, sc.planner)
+            scores = score_candidates(self.belief, usv_cell, ctx, sc.planner, memory=self._scores)
             waypoint_cell = select_waypoint(self.belief, usv_cell, ctx, sc.planner, scores=scores)
             if self._collect_trace:
                 cells, ig, p_hit = scores

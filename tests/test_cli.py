@@ -12,7 +12,14 @@ import pytest
 
 from plumetrack import GridGeometry
 from plumetrack.cli import main
-from plumetrack.io import _cell, _write_csv, dumps_json, fmt_float, write_grid_csv
+from plumetrack.io import (
+    _cell,
+    _write_csv,
+    dumps_json,
+    fmt_float,
+    write_grid_csv,
+    write_trace_csv,
+)
 
 SMALL = {
     "workspace": {"nx": 30, "ny": 20, "h": 5.0, "origin": [0.0, 0.0]},
@@ -253,6 +260,17 @@ class TestCsvWriters:
         rows = [tuple(values[(k + r) % len(values)] for k in range(7)) for r in range(len(values))]
         header = ["time_s", "x_m", "y_m", "concentration", "z", "waypoint_x_m", "waypoint_y_m"]
         _write_csv(tmp_path / "ours.csv", header, rows)
+        expected = _csv_module_bytes(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "ours.csv").read_bytes() == expected
+
+    def test_trace_matches_the_csv_module(self, tmp_path):
+        floats = SPECIAL_FLOATS + [0.25, 1e-6, 1 - 1e-6]
+        rows = [
+            (k // 3 + 1, k % 7, k % 5, floats[k % len(floats)], floats[-k % len(floats)], k % 2)
+            for k in range(3 * len(floats))
+        ]
+        header = ["step", "cand_i", "cand_j", "p_hit", "ig", "selected"]
+        write_trace_csv(tmp_path / "ours.csv", rows)
         expected = _csv_module_bytes(tmp_path / "ref.csv", header, rows)
         assert (tmp_path / "ours.csv").read_bytes() == expected
 

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+import plumetrack.planner as planner
 from plumetrack import (
     Mission,
     MissionGoal,
@@ -277,3 +278,20 @@ def test_goal_validation():
         MissionGoal.for_scenario(sc, tau_m=0.0)
     with pytest.raises(ValueError):
         MissionGoal.for_scenario(sc, max_updates=-1)
+
+
+def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
+    # before the first detection the belief cycles through three ulp-level
+    # variants while the vehicle circles, so 100 plan calls see 15 windows
+    score = planner._score
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return score(*args)
+
+    monkeypatch.setattr(planner, "_score", counted)
+    goal = MissionGoal.for_scenario(parse_scenario("scenario_upwind"), max_updates=100)
+    result = Mission(goal).run()
+    assert result.updates == 100
+    assert len(calls) <= 15
