@@ -34,7 +34,11 @@ def _result_dict(result: TrackResult, seed: int, scenario_sha: str | None) -> di
 
 
 def write_outputs(result: TrackResult, mission: Mission, out_dir) -> None:
-    """Write the artifact set for a completed mission into out_dir."""
+    """Write the artifact set for a completed mission into out_dir.
+
+    planner_trace.csv is written whenever the mission was built to collect
+    a trace, header only if it planned no waypoint.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_trajectory_csv(out_dir / "trajectory.csv", mission.log.trajectory)
@@ -43,7 +47,7 @@ def write_outputs(result: TrackResult, mission: Mission, out_dir) -> None:
         [(fb.step, fb.sim_time_s, *fb.sci_m, *fb.estimate) for fb in mission.log.feedbacks],
     )
     io.write_belief_csv(out_dir / "belief_final.csv", mission.belief)
-    if mission.log.trace:
+    if mission.log.trace is not None:
         io.write_trace_csv(out_dir / "planner_trace.csv", mission.log.trace)
     io.write_json(
         out_dir / "metrics.json",

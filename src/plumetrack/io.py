@@ -33,13 +33,17 @@ def _write_csv(path, header, rows):
 
 
 def write_grid_csv(path, geometry, values, value_column):
-    """Per-cell snapshot, row-major with j outer and i inner; one write per grid row."""
+    """Per-cell snapshot, row-major with j outer and i inner; one write per grid row.
+
+    A column shares its x and a row its y, so each is formatted once."""
     X, Y = geometry.cell_centers()
+    xs = [format(x, ".9g") for x in X[0].tolist()]
+    ys = [format(y, ".9g") for y in Y[:, 0].tolist()]
     with Path(path).open("w", newline="") as fh:
         fh.write(f"i,j,x_m,y_m,{value_column}\n")
-        for j in range(geometry.ny):
-            cells = enumerate(zip(X[j].tolist(), Y[j].tolist(), values[j].tolist()))
-            fh.write("".join(f"{i},{j},{x:.9g},{y:.9g},{v:.9g}\n" for i, (x, y, v) in cells))
+        for j, y in enumerate(ys):
+            cells = enumerate(zip(xs, values[j].tolist()))
+            fh.write("".join(f"{i},{j},{x},{y},{v:.9g}\n" for i, (x, v) in cells))
 
 
 def write_field_csv(path, field: ScalarField):
@@ -64,13 +68,30 @@ def write_uncertainty_csv(path, rows):
     )
 
 
-def write_trace_csv(path, rows):
-    """Planner trace rows (step, i, j, p_hit, ig, selected), all ints and
-    floats, formatted as _write_csv would: one f-string per row."""
+def write_trace_csv(path, entries):
+    """Planner trace, one row per candidate: step,cand_i,cand_j,p_hit,ig,selected.
+
+    Takes MissionLog.trace entries, (step, (cells, ig, p_hit), waypoint_cell).
+    Each distinct scores tuple's "i,j,p_hit,ig," text is formatted once,
+    keyed by identity (the entries keep the tuples alive), and reused at
+    each of its steps: the same float through the same format is the same
+    bytes.
+    """
+    bodies = {}
     with Path(path).open("w", newline="") as fh:
         fh.write("step,cand_i,cand_j,p_hit,ig,selected\n")
-        for step, i, j, p, g, sel in rows:
-            fh.write(f"{step},{i},{j},{p:.9g},{g:.9g},{sel}\n")
+        for step, scores, waypoint in entries:
+            cells, ig, p_hit = scores
+            body = bodies.get(id(scores))
+            if body is None:
+                body = bodies[id(scores)] = [
+                    f"{i},{j},{p:.9g},{g:.9g},"
+                    for (i, j), p, g in zip(cells, p_hit.tolist(), ig.tolist())
+                ]
+            rows = [f"{step},{text}0\n" for text in body]
+            k = cells.index(waypoint)
+            rows[k] = f"{step},{body[k]}1\n"
+            fh.write("".join(rows))
 
 
 def dumps_json(obj, indent=0) -> str:

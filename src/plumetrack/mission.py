@@ -83,10 +83,16 @@ class TrackResult:
 
 @dataclass
 class MissionLog:
-    """Per-run artifact rows, appended as the loop progresses."""
+    """Per-run artifact rows, appended as the loop progresses.
+
+    trace is None unless the mission collects one; then it holds one
+    (step, scores, waypoint_cell) entry per plan call, scores being the
+    (cells, ig, p_hit) tuple score_candidates returned. A remembered window
+    is the same tuple object at each of its steps.
+    """
 
     trajectory: list = dc_field(default_factory=list)
-    trace: list = dc_field(default_factory=list)
+    trace: list | None = None
     feedbacks: list = dc_field(default_factory=list)
     degenerate_updates: int = 0
 
@@ -103,11 +109,10 @@ class Mission:
         sc = goal.scenario
         self._rng = rng if rng is not None else np.random.default_rng(sc.seed)
         self._feedback_cb = feedback
-        self._collect_trace = collect_trace
         self._cancel = threading.Event()
         self._thread: threading.Thread | None = None
         self._result: TrackResult | None = None
-        self.log = MissionLog()
+        self.log = MissionLog(trace=[] if collect_trace else None)
 
         self.flow = sc.solver_flow()
         self.field = run_warmup(
@@ -220,12 +225,8 @@ class Mission:
             usv_cell = sc.geometry.cell_of(self.usv.position)
             scores = score_candidates(self.belief, usv_cell, ctx, sc.planner, memory=self._scores)
             waypoint_cell = select_waypoint(self.belief, usv_cell, ctx, sc.planner, scores=scores)
-            if self._collect_trace:
-                cells, ig, p_hit = scores
-                for cell, p, g in zip(cells, p_hit.tolist(), ig.tolist()):
-                    self.log.trace.append(
-                        (self.updates_used, *cell, p, g, int(cell == waypoint_cell))
-                    )
+            if self.log.trace is not None:
+                self.log.trace.append((self.updates_used, scores, waypoint_cell))
             waypoint = sc.geometry.cell_center(*waypoint_cell)
             self.log.trajectory.append(
                 (reading.time - self._t0, *reading.position,

@@ -170,7 +170,7 @@ def test_criterion_6_belief_properties(traced_scenario_a_mission):
 
 def test_criterion_7_information_gain_properties(traced_scenario_a_mission):
     mission, _, _ = traced_scenario_a_mission
-    igs = np.array([row[4] for row in mission.log.trace])
+    igs = np.concatenate([ig for _, (_, ig, _), _ in mission.log.trace])
     assert igs.size > 0
     assert igs.min() >= -1e-12, f"negative information gain {igs.min()}"
 

@@ -20,6 +20,7 @@ from plumetrack.io import (
     write_grid_csv,
     write_trace_csv,
 )
+from plumetrack.scenario import resolve_scenario_path
 
 SMALL = {
     "workspace": {"nx": 30, "ny": 20, "h": 5.0, "origin": [0.0, 0.0]},
@@ -92,6 +93,17 @@ class TestRunCommand:
             by_step.setdefault(r["step"], []).append(r)
         for step_rows in by_step.values():
             assert sum(int(r["selected"]) for r in step_rows) == 1
+
+    def test_trace_flag_writes_a_header_when_no_waypoint_is_planned(self, tmp_path):
+        # a credible box this wide passes at the first update, before any plan
+        cfg = json.loads(resolve_scenario_path("scenario_a").read_text())
+        cfg["stopping"]["tau_m"] = 10000.0
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out), "--trace"]) == 0
+        assert json.loads((out / "metrics.json").read_text())["updates"] == 1
+        assert (out / "planner_trace.csv").read_text() == "step,cand_i,cand_j,p_hit,ig,selected\n"
 
     def test_aborted_run_exits_one(self, tmp_path):
         cfg = dict(SMALL)
@@ -265,12 +277,24 @@ class TestCsvWriters:
 
     def test_trace_matches_the_csv_module(self, tmp_path):
         floats = SPECIAL_FLOATS + [0.25, 1e-6, 1 - 1e-6]
+        n = len(floats)
+
+        def scores(shift):
+            cells = [(k % 7, k // 7) for k in range(n)]
+            ig = np.array([floats[(k + shift) % n] for k in range(n)])
+            p_hit = np.array([floats[(-k - shift) % n] for k in range(n)])
+            return cells, ig, p_hit
+
+        repeated = scores(0)
+        # the repeated tuple is written at steps 1 and 3 with different selections
+        entries = [(1, repeated, (3, 0)), (2, scores(5), (0, 0)), (3, repeated, (4, 1))]
         rows = [
-            (k // 3 + 1, k % 7, k % 5, floats[k % len(floats)], floats[-k % len(floats)], k % 2)
-            for k in range(3 * len(floats))
+            (step, i, j, p, g, int((i, j) == waypoint))
+            for step, (cells, ig, p_hit), waypoint in entries
+            for (i, j), p, g in zip(cells, p_hit.tolist(), ig.tolist())
         ]
         header = ["step", "cand_i", "cand_j", "p_hit", "ig", "selected"]
-        write_trace_csv(tmp_path / "ours.csv", rows)
+        write_trace_csv(tmp_path / "ours.csv", entries)
         expected = _csv_module_bytes(tmp_path / "ref.csv", header, rows)
         assert (tmp_path / "ours.csv").read_bytes() == expected
 

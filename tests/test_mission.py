@@ -237,15 +237,12 @@ def test_trace_selects_each_steps_waypoint_at_its_largest_gain():
     mission = Mission(MissionGoal.for_scenario(small_scenario()), collect_trace=True)
     result = mission.run()
     geom = mission.goal.scenario.geometry
-    by_step = {}
-    for row in mission.log.trace:
-        by_step.setdefault(row[0], []).append(row)
-    # every update but the successful last one plans a waypoint
-    assert sorted(by_step) == list(range(1, result.updates))
-    for step, rows in by_step.items():
-        (selected,) = [row for row in rows if row[5] == 1]
-        assert geom.cell_center(selected[1], selected[2]) == mission.log.trajectory[step - 1][5:]
-        assert selected[4] >= max(row[4] for row in rows) - 1e-12
+    # every update but the successful last one plans a waypoint, one entry each
+    assert [entry[0] for entry in mission.log.trace] == list(range(1, result.updates))
+    for step, (cells, ig, _), waypoint in mission.log.trace:
+        assert cells.count(waypoint) == 1
+        assert geom.cell_center(*waypoint) == mission.log.trajectory[step - 1][5:]
+        assert ig[cells.index(waypoint)] >= ig.max() - 1e-12
 
 
 def test_continuous_measure_mode_runs_and_succeeds():
@@ -295,3 +292,17 @@ def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
     result = Mission(goal).run()
     assert result.updates == 100
     assert len(calls) <= 15
+
+
+def test_upwind_search_traces_each_remembered_window_as_one_object():
+    goal = MissionGoal.for_scenario(parse_scenario("scenario_upwind"), max_updates=100)
+    mission = Mission(goal, collect_trace=True)
+    mission.run()
+    assert len(mission.log.trace) == 100
+    assert len({id(scores) for _, scores, _ in mission.log.trace}) <= 15
+
+
+def test_untraced_mission_keeps_no_trace():
+    mission = Mission(MissionGoal.for_scenario(small_scenario()))
+    mission.run()
+    assert mission.log.trace is None
