@@ -155,7 +155,7 @@ def _cmd_validate(args) -> int:
 def _cmd_field(args) -> int:
     scenario = parse_scenario(args.scenario)
     field = init_field(scenario.geometry, 0.0)
-    field = run_warmup(field, scenario.solver_flow(), scenario.source, args.t, scenario.dt)
+    field = run_warmup(field, scenario.flow, scenario.source, args.t, scenario.dt)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     io.write_field_csv(out, field)

@@ -7,13 +7,13 @@ The pollutant concentration c(p, t) follows
 with a spatially uniform flow v and a point source f. The solver is an
 explicit finite-volume scheme, operator-split into a first-order upwind
 advection substep and a central-difference diffusion substep, followed by
-source injection. Both substeps are written in flux form, so with closed
-boundaries total mass is conserved exactly up to round-off, and each substep
-is monotone (positivity preserving) for time steps within the CFL bound.
+source injection. Both substeps are written in flux form and each is
+monotone (positivity preserving) for time steps within the CFL bound.
 
-Boundary handling: "open" uses zero-gradient ghost cells (outflow leaves the
-domain, diffusive boundary flux vanishes); "closed" zeroes every boundary
-flux and exists mainly so mass accounting can be tested.
+Boundaries are open: zero-gradient ghost cells let outflow leave the domain
+and give no diffusive boundary flux, and an inflow wall takes nothing in.
+So total mass is conserved exactly, up to round-off, while no mass reaches
+an outflow wall.
 
 A step works on the raveled grid, one contiguous shift per flux difference,
 and does the 2D flux form's operations in its order, so it is bitwise equal
@@ -41,6 +41,16 @@ class FlowSpec:
             raise ValueError(f"v: must be finite, got {self.v}")
         if not 0 <= self.diffusivity < math.inf:
             raise ValueError(f"diffusivity: must be finite and >= 0, got {self.diffusivity}")
+
+    def direction(self) -> tuple[float, float]:
+        """v / |v|, the kernels' v_hat. Raises when |v| is zero or so near the
+        underflow limit that the quotient fails MeasurementContext's unit test."""
+        speed = float(np.hypot(*self.v))
+        if speed > 0:
+            v_hat = (self.v[0] / speed, self.v[1] / speed)
+            if abs(float(np.hypot(*v_hat)) - 1.0) <= 1e-6:
+                return v_hat
+        raise ValueError(f"v: {self.v} is too small to give the wave direction tracking needs")
 
 
 @dataclass(frozen=True)
@@ -100,21 +110,13 @@ def max_stable_dt(flow: FlowSpec, geometry: GridGeometry) -> float:
     return min(dt_adv, dt_diff)
 
 
-def step(
-    field: ScalarField,
-    flow: FlowSpec,
-    source: SourceSpec,
-    dt: float,
-    boundary: str = "open",
-) -> ScalarField:
+def step(field: ScalarField, flow: FlowSpec, source: SourceSpec, dt: float) -> ScalarField:
     """Advance the field by one explicit time step of length dt.
 
     Upwind advection, then central diffusion, then injection of
     source.rate * dt / h^2 into the cell containing the source. Raises if dt
     is not finite and positive or exceeds the stability bound.
     """
-    if boundary not in ("open", "closed"):
-        raise ValueError(f"unknown boundary mode {boundary!r}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     bound = max_stable_dt(flow, field.geometry)
@@ -140,24 +142,17 @@ def step(
         f = faces[: n + 1]
         p = f[1:] if vx > 0 else f[:n]  # p[k]: the upwind flux leaving cell k
         np.multiply(c, vx, out=p)
-        if boundary == "closed":
-            f[::nx] = 0.0
-        else:
-            f[0], f[n] = p[0], p[n - 1]  # zero-gradient ghosts: the wall cell's flux
+        f[0], f[n] = p[0], p[n - 1]  # zero-gradient ghosts: the wall cell's flux
         np.subtract(f[1:], f[:n], out=delta)
-        if boundary == "open":
-            # an inflow wall's zero-gradient ghost gives its cell one flux in
-            # and out; a shared face holds the other row's outflow flux
-            wall = slice(0, n, nx) if vx > 0 else slice(nx - 1, n, nx)
-            np.subtract(p[wall], p[wall], out=delta[wall])
+        # an inflow wall's zero-gradient ghost gives its cell one flux in and
+        # out; a shared face holds the other row's outflow flux
+        wall = slice(0, n, nx) if vx > 0 else slice(nx - 1, n, nx)
+        np.subtract(p[wall], p[wall], out=delta[wall])
         adv = np.subtract(adv, np.multiply(delta, s, out=delta), out=dest)
     if vy != 0.0:
         p = faces[nx:] if vy > 0 else faces[:n]
         np.multiply(c, vy, out=p)
-        if boundary == "closed":
-            faces[:nx] = faces[n:] = 0.0
-        else:
-            faces[:nx], faces[n:] = p[:nx], p[n - nx :]
+        faces[:nx], faces[n:] = p[:nx], p[n - nx :]
         np.subtract(faces[nx:], faces[:n], out=delta)
         adv = np.subtract(adv, np.multiply(delta, s, out=delta), out=dest)
 
@@ -196,19 +191,14 @@ def _scratch(n, nx):
 
 
 def run_warmup(
-    field: ScalarField,
-    flow: FlowSpec,
-    source: SourceSpec,
-    duration: float,
-    dt: float = 1.0,
-    boundary: str = "open",
+    field: ScalarField, flow: FlowSpec, source: SourceSpec, duration: float, dt: float = 1.0
 ) -> ScalarField:
     """Step the field until field.time >= duration (plume spin-up)."""
     if not 0 <= duration < math.inf:
         raise ValueError(f"warmup duration must be finite and >= 0, got {duration}")
     target = field.time + duration
     while field.time < target:
-        field = step(field, flow, source, dt, boundary)
+        field = step(field, flow, source, dt)
     return field
 
 

@@ -114,10 +114,7 @@ class Mission:
         self._result: TrackResult | None = None
         self.log = MissionLog(trace=[] if collect_trace else None)
 
-        self.flow = sc.solver_flow()
-        self.field = run_warmup(
-            init_field(sc.geometry, 0.0), self.flow, sc.source, sc.warmup_s, sc.dt
-        )
+        self.field = run_warmup(init_field(sc.geometry), sc.flow, sc.source, sc.warmup_s, sc.dt)
         threshold = sc.sonde_threshold
         if threshold is None:
             threshold = sc.sonde_threshold_fraction * float(self.field.values.max())
@@ -128,8 +125,7 @@ class Mission:
                 )
         self.sonde = SondeSpec(threshold, sc.sonde_noise_std, sc.sonde_sample_period)
 
-        speed = float(np.hypot(*sc.flow.v))
-        self.v_hat = (sc.flow.v[0] / speed, sc.flow.v[1] / speed)
+        self.v_hat = sc.flow.direction()
         self.belief = uniform_belief(sc.geometry)
         self.usv = UsvState(sc.usv_start, sc.usv_speed, time=self.field.time)
         self.last_hit: tuple[float, float] | None = None
@@ -262,7 +258,7 @@ class Mission:
             if self.usv.time + sc.dt - self._t0 > sc.max_sim_time_s:
                 return False
             self.usv = advance_towards(self.usv, waypoint, sc.dt, sc.geometry)
-            self.field = field_step(self.field, self.flow, sc.source, sc.dt)
+            self.field = field_step(self.field, sc.flow, sc.source, sc.dt)
             elapsed += sc.dt
             if sc.measure_mode == "continuous" and elapsed + 1e-9 >= self.sonde.sample_period:
                 break

@@ -3,7 +3,7 @@
 A scenario file is a JSON object with the sections
 
     workspace  nx, ny, h, origin
-    flow       v, lambda, effective_lambda (optional solver override)
+    flow       v, lambda, effective_lambda (optional, wins over lambda)
     source     position, rate
     usv        start, speed
     sonde      threshold (or threshold_fraction auto-calibration),
@@ -20,23 +20,24 @@ numbers (JSON Infinity, NaN) are rejected too.
 
 Each default is written once, on its dataclass field: workspace, source and
 planner keys are the field names of GridGeometry, SourceSpec and
-PlannerParams, and the other keys map onto Scenario fields through
-_FLAT_FIELDS, which the parser and to_dict both read. The measurement kernel
-parameters (sigma2_hit, sigma2_miss, local_radius_cells) are PlannerParams
-fields, read by the belief update and the planner alike. The stopping test
-(gamma, tau_m) and the budgets (max_updates, max_sim_time_s) are Scenario
-fields; mission.MissionGoal.for_scenario(scenario, **overrides) replaces them
-for one mission and validates the result as a parsed file would be.
+PlannerParams, and the usv, sonde, stopping and sim keys and the seed map
+onto Scenario fields through _FLAT_FIELDS, which serves the parser alone.
+The flow section builds Scenario.flow, the one flow the solver runs: its
+diffusivity is effective_lambda when that key is given and not null, else
+lambda. The measurement kernel parameters (sigma2_hit, sigma2_miss,
+local_radius_cells) are PlannerParams fields, read by the belief update and
+the planner alike. The stopping test (gamma, tau_m) and the budgets
+(max_updates, max_sim_time_s) are Scenario fields;
+mission.MissionGoal.for_scenario(scenario, **overrides) replaces them for
+one mission and validates the result as a parsed file would be.
 """
 
 import hashlib
 import json
 import math
 import reprlib
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from .field import FlowSpec, SourceSpec, max_stable_dt
 from .grid import GridGeometry
@@ -57,7 +58,6 @@ class Scenario:
     source: SourceSpec
     usv_start: tuple[float, float]
     usv_speed: float = 2.0
-    effective_diffusivity_override: float | None = None
     sonde_threshold: float | None = None
     sonde_threshold_fraction: float = 0.01
     sonde_noise_std: float = 0.0
@@ -84,8 +84,10 @@ class Scenario:
             raise ScenarioError(f"usv.start: {self.usv_start} lies outside the workspace")
         if not 0 < self.usv_speed < math.inf:
             raise ScenarioError(f"usv.speed: must be positive and finite, got {self.usv_speed}")
-        if float(np.hypot(*self.flow.v)) == 0.0:
-            raise ScenarioError("flow.v: tracking needs a nonzero wave velocity")
+        try:  # the mission's v_hat
+            self.flow.direction()
+        except ValueError as exc:
+            raise ScenarioError(f"flow.{exc}") from exc
         if self.sonde_threshold is not None and not 0 < self.sonde_threshold < math.inf:
             raise ScenarioError("sonde.threshold: must be positive and finite when given")
         if not 0 < self.sonde_threshold_fraction < 1:
@@ -111,10 +113,7 @@ class Scenario:
             )
         if not self.dt > 0:
             raise ScenarioError(f"sim.dt: must be positive, got {self.dt}")
-        lam = self.effective_diffusivity_override
-        if lam is not None and not 0 <= lam < math.inf:
-            raise ScenarioError("flow.effective_lambda: must be finite and >= 0 when given")
-        bound = max_stable_dt(self.solver_flow(), self.geometry)
+        bound = max_stable_dt(self.flow, self.geometry)
         if self.dt > bound * (1.0 + 1e-12):
             raise ScenarioError(f"sim.dt: {self.dt} exceeds the stability bound {bound:.6g}")
         if not 0 <= self.warmup_s < math.inf:
@@ -125,35 +124,6 @@ class Scenario:
             raise ScenarioError("sim.max_sim_time_s: must be finite and >= 0")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ScenarioError(f"seed: must be >= 0, got {self.seed}")
-
-    def solver_flow(self) -> FlowSpec:
-        """The flow the solver runs: the effective diffusivity, when given, wins
-        over the molecular one."""
-        if self.effective_diffusivity_override is None:
-            return self.flow
-        return FlowSpec(self.flow.v, self.effective_diffusivity_override)
-
-    def to_dict(self) -> dict:
-        """The scenario as a JSON-serializable object that parses back to it."""
-        d = {
-            "workspace": asdict(self.geometry),
-            "flow": {"v": self.flow.v, "lambda": self.flow.diffusivity},
-            "source": asdict(self.source),
-            "usv": {},
-            "sonde": {},
-            "planner": asdict(self.planner),
-            "stopping": {},
-            "sim": {},
-        }
-        for section, key, name, _ in _FLAT_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                (d if section == "scenario" else d[section])[key] = value
-        return d
-
-
-def serialize_scenario(scenario: Scenario) -> str:
-    return json.dumps(scenario.to_dict(), indent=2) + "\n"
 
 
 class _Section:
@@ -192,6 +162,13 @@ def _number(section, key, value):
     return number
 
 
+def _diffusivity(key, value):
+    lam = _number("flow", key, value)
+    if lam < 0:  # FlowSpec would reject it, naming its own field
+        raise ScenarioError(f"flow.{key}: must be >= 0, got {lam}")
+    return lam
+
+
 def _optional_number(section, key, value):
     return None if value is None else _number(section, key, value)
 
@@ -217,7 +194,6 @@ _CONVERTERS = {int: _integer, float: _number, tuple[float, float]: _pair}
 # (section, key, Scenario field, converter) for every other JSON key that sets
 # one Scenario field; "scenario" is the top level.
 _FLAT_FIELDS = (
-    ("flow", "effective_lambda", "effective_diffusivity_override", _optional_number),
     ("usv", "start", "usv_start", _pair),
     ("usv", "speed", "usv_speed", _number),
     ("sonde", "threshold", "sonde_threshold", _optional_number),
@@ -270,13 +246,13 @@ def scenario_from_dict(data: dict, source_sha256: str | None = None) -> Scenario
 
     fl = sections["flow"]
     v = _pair("flow", "v", fl.get("v"))
-    diffusivity = _number("flow", "lambda", fl.get("lambda", _DEFAULT_LAMBDA))
-    if diffusivity < 0:  # FlowSpec would reject it, naming its own field
-        raise ScenarioError(f"flow.lambda: must be >= 0, got {diffusivity}")
-    flow = FlowSpec(v, diffusivity)
+    diffusivity = _diffusivity("lambda", fl.get("lambda", _DEFAULT_LAMBDA))
+    effective = fl.get("effective_lambda", None)
+    if effective is not None:  # the solver's diffusivity wins when given
+        diffusivity = _diffusivity("effective_lambda", effective)
     kwargs = {
         "geometry": _from_section(sections["workspace"], GridGeometry),
-        "flow": flow,
+        "flow": FlowSpec(v, diffusivity),
         "source": _from_section(sections["source"], SourceSpec),
         "planner": _from_section(sections["planner"], PlannerParams),
     }

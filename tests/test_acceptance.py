@@ -198,14 +198,16 @@ def test_criterion_8_solver_properties():
         field = step(field, flow, no_source, dt)
         assert field.values.min() >= 0.0
 
-    source = SourceSpec((1.0, 1.0), 1.3)
+    # open walls: mass spreads at most two cells per step, so 19 steps from a
+    # zero field with the source 40 cells from every wall lose none
+    g = GridGeometry(nx=81, ny=81, h=2.0)
+    source = SourceSpec((0.0, 0.0), 1.3)
     flow = FlowSpec((0.8, -0.5), 0.1)
-    f = init_field(geom, 0.5)
-    m0 = f.total_mass()
-    dt = 0.9 * max_stable_dt(flow, geom)
-    for n in range(1, 201):
-        f = step(f, flow, source, dt, boundary="closed")
-    assert f.total_mass() == pytest.approx(m0 + 200 * source.rate * dt, rel=1e-9)
+    f = init_field(g, 0.0)
+    dt = 0.9 * max_stable_dt(flow, g)
+    for n in range(1, 20):
+        f = step(f, flow, source, dt)
+        assert f.total_mass() == pytest.approx(n * source.rate * dt, rel=1e-9)
 
     sigma, T, v = 20.0, 50.0, (1.0, 0.0)
     errors = []
@@ -221,7 +223,8 @@ def test_criterion_8_solver_properties():
         oracle /= oracle.sum() * h**2
         errors.append(float(np.abs(fld.values - oracle).sum() * h**2))
     assert errors[0] > errors[1] > errors[2]
-    _ok(8, f"positivity x 10^4 steps, mass exact, L1 errors decrease {[f'{e:.3f}' for e in errors]}")
+    shown = [f"{e:.3f}" for e in errors]
+    _ok(8, f"positivity x 10^4 steps, mass exact before outflow, L1 errors decrease {shown}")
 
 
 # sha256 of the artifacts of `plumetrack run --scenario scenario_a --seed 0
