@@ -15,9 +15,10 @@ cells, built from a Gaussian kernel on angular deviation:
 The kernel is computed only on the covered block, the square neighbourhood of
 the vehicle's cell clipped to the grid, and edge-extended to the whole grid:
 every cell outside the block inherits the weight of the nearest covered cell.
-Posterior updates are plain Bayes products followed by normalization. A
-likelihood that leaves no posterior mass, all-zero weights included, raises
-DegenerateUpdateError, and the mission keeps its prior.
+Posterior updates are plain Bayes products followed by normalization; a
+constant likelihood returns the prior itself. A likelihood that leaves no
+posterior mass, all-zero weights included, raises DegenerateUpdateError, and
+the mission keeps its prior.
 
 The kernel parameters sigma2_hit, sigma2_miss and local_radius_cells live on
 planner.PlannerParams (the scenario's `planner` section): the mission's
@@ -71,17 +72,18 @@ class GridBelief:
                 f"probs shape {self.probs.shape} does not match grid "
                 f"({self.geometry.ny}, {self.geometry.nx})"
             )
-        if self.probs.min() < 0:
+        # written so that NaN fails each check
+        if not self.probs.min() >= 0:
             raise ValueError("belief probabilities must be non-negative")
         total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"belief must sum to 1 within 1e-9, got {total}")
         self.probs.setflags(write=False)
 
 
 @dataclass
 class LikelihoodField:
-    """Non-negative per-cell measurement likelihood, shape (ny, nx)."""
+    """Finite, non-negative per-cell measurement likelihood, shape (ny, nx)."""
 
     geometry: GridGeometry
     weights: np.ndarray
@@ -93,8 +95,8 @@ class LikelihoodField:
                 f"weights shape {self.weights.shape} does not match grid "
                 f"({self.geometry.ny}, {self.geometry.nx})"
             )
-        if self.weights.min() < 0:
-            raise ValueError("likelihood weights must be non-negative")
+        if not (self.weights.min() >= 0 and self.weights.max() < np.inf):
+            raise ValueError("likelihood weights must be finite and non-negative")
         self.weights.setflags(write=False)
 
 
@@ -210,9 +212,17 @@ def miss_likelihood(
 
 
 def bayes_update(belief: GridBelief, like: LikelihoodField) -> GridBelief:
-    """Posterior proportional to prior times likelihood, renormalized."""
+    """Posterior proportional to prior times likelihood, renormalized.
+
+    A constant positive likelihood, such as a miss before the first detection,
+    returns the prior object itself: that is the exact posterior, which
+    renormalizing would perturb in the last bits.
+    """
     if belief.geometry != like.geometry:
         raise ValueError("belief and likelihood must share one grid geometry")
+    lowest = like.weights.min()
+    if lowest > 0 and lowest == like.weights.max():
+        return belief
     post = belief.probs * like.weights
     total = float(post.sum())
     if total <= 0.0:

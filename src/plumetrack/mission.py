@@ -129,7 +129,7 @@ class Mission:
         self.belief = uniform_belief(sc.geometry)
         self.usv = UsvState(sc.usv_start, sc.usv_speed, time=self.field.time)
         self.last_hit: tuple[float, float] | None = None
-        self._scores: list = []  # score_candidates' memory
+        self._scores: dict = {}  # score_candidates' memory
         self._t0 = self.field.time
         self.updates_used = 0
 

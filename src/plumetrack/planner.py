@@ -37,17 +37,15 @@ fit one chunk. The scores are two float64 arrays, ig and p_hit, aligned with
 the list of candidate cells, so scoring and selection build no object per
 candidate.
 
-A mission passes score_candidates a memory of the windows it scored. A
-window's scores depend only on the belief, the vehicle's cell, v_hat,
-last_hit_pos, the grid and the planner parameters. The memory is keyed by
-exactly these, matches a belief by identity or equal bits and layout (never by
-a hash) and returns the arrays _score returned, so a remembered window is the
-same bits as a fresh one. Before the first detection a miss is uninformative,
-but bayes_update divides by a sum that is not exactly 1, so the flat belief
-cycles through three ulp-level variants while the vehicle circles. The memory
-holds 4 beliefs, the cycle and a spare, and the 100 plan calls of the bundled
-upwind search score 15 windows. A tracking run's belief changes at every
-update, so there every lookup misses.
+A mission passes score_candidates a memory of the windows it scored for its
+current belief. A window's scores depend only on the belief, the vehicle's
+cell, v_hat, last_hit_pos, the grid and the planner parameters. The memory
+holds the belief's probs array by reference and matches it by identity, with
+the rest of the key by equality, and returns the arrays _score returned, so a
+remembered window is the same bits as a fresh one. Before the first detection
+a miss is uninformative and bayes_update returns the prior itself, so the 100
+plan calls of the bundled upwind search keep one belief and score 11 windows.
+A tracking run's belief changes at every update, so there every lookup misses.
 """
 
 from dataclasses import dataclass
@@ -239,50 +237,28 @@ def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerPa
     return ig, p_hit
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float64 arrays hold the same bits in the same memory layout,
-    which sets the summation order of p_hit; a signed zero counts. The first
-    element alone tells most unequal beliefs apart, as an update rescales every
-    cell."""
-    if a is b:
-        return True
-    a, b = a.view(np.int64), b.view(np.int64)
-    return a.strides == b.strides and a.item(0) == b.item(0) and np.array_equal(a, b)
-
-
-# Beliefs a score memory holds: the 3 of a search's cycle (see the module
-# docstring) and one spare. With 3, a belief seen once would evict the member
-# of the cycle needed next, and each of the next 3 lookups would miss.
-_MEMORY_BELIEFS = 4
-
-
 def score_candidates(
     belief: GridBelief,
     usv_cell: tuple[int, int],
     ctx: MeasurementContext,
     params: PlannerParams,
-    memory: list | None = None,
+    memory: dict | None = None,
 ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """(cells, ig, p_hit): the candidate_waypoints cells around usv_cell and
     two float64 arrays holding each cell's gain and hit probability, in that
     order.
 
-    memory, a list the caller keeps (a mission keeps one), remembers the
-    windows scored for its last _MEMORY_BELIEFS beliefs, most recent first,
-    and returns a remembered window as it was scored (see the module
-    docstring). The arrays are read-only.
+    memory, a dict the caller keeps (a mission keeps one), remembers the
+    windows scored for one belief and returns a remembered window as it was
+    scored (see the module docstring); another belief or key replaces its
+    contents. The arrays are read-only.
     """
     if memory is None:
-        memory = []
+        memory = {}
     key = (belief.geometry, ctx.v_hat, ctx.last_hit_pos, params)
-    for n, (probs, seen_key, windows) in enumerate(memory):
-        if seen_key == key and _same_bits(probs, belief.probs):
-            memory.insert(0, memory.pop(n))
-            break
-    else:
-        windows = {}
-        memory.insert(0, (belief.probs, key, windows))
-        del memory[_MEMORY_BELIEFS:]
+    if memory.get("probs") is not belief.probs or memory["key"] != key:
+        memory.update(probs=belief.probs, key=key, windows={})
+    windows = memory["windows"]
     if usv_cell not in windows:
         cells = candidate_waypoints(belief.geometry, usv_cell, params)
         ig, p_hit = _score(belief, cells, ctx, params)

@@ -26,9 +26,10 @@ class MarginalDist:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise ValueError("marginal needs a non-empty 1D probability vector")
-        if self.probs.min() < 0:
+        # written so that NaN fails each check
+        if not self.probs.min() >= 0:
             raise ValueError("marginal probabilities must be non-negative")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-9:
+        if not abs(float(self.probs.sum()) - 1.0) <= 1e-9:
             raise ValueError("marginal must sum to 1 within 1e-9")
 
 

@@ -18,6 +18,7 @@ from plumetrack import (
     uniform_belief,
 )
 from plumetrack.belief import angle_between
+from plumetrack.uncertainty import MarginalDist
 
 PAPER_GRID = GridGeometry(nx=100, ny=50, h=5.0)
 
@@ -245,8 +246,14 @@ class TestBayesUpdate:
         p = rng.random((6, 10))
         b = GridBelief(geom, p / p.sum())
         like = LikelihoodField(geom, np.full((6, 10), 0.37))
-        updated = bayes_update(b, like)
-        assert np.allclose(updated.probs, b.probs, atol=1e-12)
+        assert bayes_update(b, like) is b
+
+    def test_subnormal_constant_likelihood_keeps_the_prior(self):
+        # every product underflows to zero, yet the reading carries no information
+        geom = GridGeometry(nx=3, ny=2, h=1.0)
+        b = GridBelief(geom, np.array([[0.1, 0.2, 0.3], [0.4, 0.0, 0.0]]))
+        like = LikelihoodField(geom, np.full((2, 3), 5e-324))
+        assert bayes_update(b, like) is b
 
     def test_exclusion(self):
         geom = GridGeometry(nx=2, ny=1, h=1.0)
@@ -319,3 +326,26 @@ class TestBeliefProperties:
             GridBelief(geom, np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             GridBelief(geom, np.array([[1.5, -0.5], [0.0, 0.0]]))
+
+
+_PAIR = GridGeometry(nx=2, ny=1, h=1.0)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: GridBelief(_PAIR, [v]),
+            lambda v: LikelihoodField(_PAIR, [v]),
+            lambda v: MarginalDist(v, 1.0),
+        ],
+        ids=["GridBelief", "LikelihoodField", "MarginalDist"],
+    )
+    @pytest.mark.parametrize(
+        "values",
+        [(math.nan, 1.0), (math.nan, math.nan), (math.inf, 1.0), (math.inf, math.inf), (-math.inf, 1.0)],
+        ids=str,
+    )
+    def test_rejected(self, make, values):
+        with pytest.raises(ValueError):
+            make(values)

@@ -278,8 +278,8 @@ def test_goal_validation():
 
 
 def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
-    # before the first detection the belief cycles through three ulp-level
-    # variants while the vehicle circles, so 100 plan calls see 15 windows
+    # before the first detection a miss leaves the belief as it was, so the
+    # vehicle circles on one belief and 100 plan calls see 11 windows
     score = planner._score
     calls = []
 
@@ -289,9 +289,12 @@ def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
 
     monkeypatch.setattr(planner, "_score", counted)
     goal = MissionGoal.for_scenario(parse_scenario("scenario_upwind"), max_updates=100)
-    result = Mission(goal).run()
+    mission = Mission(goal)
+    start = mission.belief
+    result = mission.run()
     assert result.updates == 100
-    assert len(calls) <= 15
+    assert mission.belief is start
+    assert len(calls) <= 11
 
 
 def test_upwind_search_traces_each_remembered_window_as_one_object():
@@ -299,7 +302,7 @@ def test_upwind_search_traces_each_remembered_window_as_one_object():
     mission = Mission(goal, collect_trace=True)
     mission.run()
     assert len(mission.log.trace) == 100
-    assert len({id(scores) for _, scores, _ in mission.log.trace}) <= 15
+    assert len({id(scores) for _, scores, _ in mission.log.trace}) <= 11
 
 
 def test_untraced_mission_keeps_no_trace():

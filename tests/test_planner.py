@@ -534,26 +534,35 @@ class TestScoreMemory:
 
     def test_scores_equal_memoryless_scoring(self, monkeypatch):
         geom = GridGeometry(12, 9, 2.5, (1.0, -3.0))
-        probs = np.random.default_rng(5).random((9, 12))
+        rng = np.random.default_rng(5)
+        probs = rng.random((9, 12))
         belief = GridBelief(geom, probs / probs.sum())
+        # a new object with the same bits
+        copy = GridBelief(geom, belief.probs.copy())
+        probs = rng.random((9, 12))
+        other = GridBelief(geom, probs / probs.sum())
         params = PlannerParams(window_cells=5, local_radius_cells=3)
         hit = geom.cell_center(10, 1)
+        # (belief, cell, last_hit_pos, whether it is scored)
         steps = [
             (belief, (4, 4), None, True),
-            # a new object with the same content
-            (GridBelief(geom, belief.probs.copy()), (4, 4), None, False),
+            (belief, (4, 4), None, False),
             (belief, (6, 3), None, True),
-            (belief, (4, 4), hit, True),
-            (GridBelief(geom, belief.probs.copy()), (6, 3), None, False),
-            # the same bits in Fortran order sum p_hit in another order
-            (GridBelief(geom, np.asfortranarray(belief.probs)), (4, 4), None, True),
+            (belief, (4, 4), None, False),
+            (copy, (4, 4), None, True),
+            # the copy took the memory's one belief
+            (belief, (6, 3), None, True),
+            (belief, (6, 3), hit, True),
+            (belief, (6, 3), None, True),
+            (other, (6, 3), None, True),
+            (other, (6, 3), None, False),
         ]
         want = [
             score_candidates(b, cell, _ctx(geom, cell, last_hit), params)
             for b, cell, last_hit, _ in steps
         ]
         calls = self._counted_score(monkeypatch)
-        memory = []
+        memory = {}
         for (b, cell, last_hit, scored), (want_cells, *want_scores) in zip(steps, want):
             before = len(calls)
             cells, *scores = score_candidates(
@@ -568,48 +577,9 @@ class TestScoreMemory:
         geom = GridGeometry(10, 10, 1.0)
         belief = uniform_belief(geom)
         params = PlannerParams(window_cells=3)
-        memory = []
+        memory = {}
         for _ in range(2):
             _, ig, p_hit = score_candidates(belief, (5, 5), _ctx(geom, (5, 5)), params, memory)
             assert not ig.flags.writeable and not p_hit.flags.writeable
             with pytest.raises(ValueError):
                 ig[0] = 1.0
-
-    def test_a_signed_zero_is_another_belief(self, monkeypatch):
-        geom = GridGeometry(4, 3, 1.0)
-        # past the first cell, so the whole arrays are compared
-        probs = np.full((3, 4), 1 / 11)
-        probs[2, 3] = 0.0
-        negative = probs.copy()
-        negative[2, 3] = -0.0
-        params = PlannerParams(window_cells=3)
-        calls = self._counted_score(monkeypatch)
-        memory = []
-        for p in (probs, negative):
-            score_candidates(GridBelief(geom, p), (1, 1), _ctx(geom, (1, 1)), params, memory)
-        assert len(calls) == 2 and len(memory) == 2
-
-    def test_holds_the_four_most_recently_used_beliefs(self, monkeypatch):
-        geom = GridGeometry(8, 8, 1.0)
-        rng = np.random.default_rng(11)
-        beliefs = []
-        for _ in range(5):
-            p = rng.random((8, 8))
-            beliefs.append(GridBelief(geom, p / p.sum()))
-        params = PlannerParams(window_cells=3)
-        ctx = _ctx(geom, (3, 3))
-        calls = self._counted_score(monkeypatch)
-        memory = []
-
-        def score(*indices):
-            for k in indices:
-                score_candidates(beliefs[k], (3, 3), ctx, params, memory)
-                assert len(memory) <= 4
-
-        # the hit on belief 0 makes belief 1 the least recently used
-        score(0, 1, 2, 3, 0, 4)
-        assert len(memory) == 4 and len(calls) == 5
-        score(0, 2, 3, 4)
-        assert len(calls) == 5
-        score(1)
-        assert len(calls) == 6
