@@ -268,9 +268,9 @@ CRITERION_9_OTHER_SHA256 = {
         "planner_trace.csv": "3957785ef4239be2419a7280868f584cd10e6b1ea81c5406b88217d801e9b43e",
     },
     "scenario_upwind": {
-        "metrics.json": "5939f7fd19fa15e877c8273235811c51df68ac5ef0022ab105f389bd804b6acf",
+        "metrics.json": "7f9fe07256fdefd39a2c3a5c376fd9d7d163af5c6f15403efbf26ca9c865f0a7",
         "trajectory.csv": "c99ab954ed3fd95b5a4a583300aa062e199d0075fb528aafeb87c8015f613e27",
-        "uncertainty.csv": "7b7bb96d82892d9a712f71944d39a7abc0f0036ad68795c0941279e21b0d59ed",
+        "uncertainty.csv": "73876ec7493d4bc5477149834eb4b4441c95412357a6680826979e580bfd6f73",
         "belief_final.csv": "5d368d6910306651479148cdf622c83aefe6fe2b3fefb7658048416bb61d50a8",
         "planner_trace.csv": "f3007d11d402cea0ca877ec46ad3e95971575b53555170f3038711cb6f2b14b7",
     },
