@@ -343,7 +343,13 @@ class TestNonFiniteRejected:
     )
     @pytest.mark.parametrize(
         "values",
-        [(math.nan, 1.0), (math.nan, math.nan), (math.inf, 1.0), (math.inf, math.inf), (-math.inf, 1.0)],
+        [
+            (math.nan, 1.0),
+            (math.nan, math.nan),
+            (math.inf, 1.0),
+            (math.inf, math.inf),
+            (-math.inf, 1.0),
+        ],
         ids=str,
     )
     def test_rejected(self, make, values):
