@@ -13,7 +13,8 @@ cells, built from a Gaussian kernel on angular deviation:
   variance sigma2_miss. Before any detection a miss carries no information.
 
 The kernel is computed only on the covered block, the square neighbourhood of
-the vehicle's cell clipped to the grid, and edge-extended to the whole grid:
+the vehicle's cell clipped to the grid, by the same batched block kernels the
+planner scores with, and edge-extended to the whole grid by index clamp:
 every cell outside the block inherits the weight of the nearest covered cell.
 Posterior updates are plain Bayes products followed by normalization; a
 constant likelihood returns the prior itself. A likelihood that leaves no
@@ -122,22 +123,6 @@ def angle_between(ux, uy, wx, wy):
     return np.arctan2(np.abs(cross), dot + 0.0)
 
 
-def _covered_block(geometry: GridGeometry, usv_pos, radius):
-    """Cell-centre x of the covered block's columns and y of its rows, the
-    index (row, column) of the vehicle's cell in the block, and the np.pad
-    widths that extend a block array to the grid.
-
-    The block is axis-aligned, so the Euclidean-nearest covered cell of any
-    cell is its componentwise index clamp into the block: np.pad's edge mode.
-    """
-    ui, uj = geometry.cell_of(usv_pos)
-    ilo, ihi = max(ui - radius, 0), min(ui + radius, geometry.nx - 1)
-    jlo, jhi = max(uj - radius, 0), min(uj + radius, geometry.ny - 1)
-    X, Y = geometry.cell_centers()
-    pad = ((jlo, geometry.ny - 1 - jhi), (ilo, geometry.nx - 1 - ihi))
-    return X[0, ilo : ihi + 1], Y[jlo : jhi + 1, 0], (uj - jlo, ui - ilo), pad
-
-
 def detection_block_weights(px, py, bx, by, own, v_hat, sigma2_hit) -> np.ndarray:
     """Detection kernel on the covered blocks of C readings, shape (C, H, W).
 
@@ -169,6 +154,25 @@ def miss_block_weights(px, py, bx, by, own, last_hit_pos, h, sigma2_miss) -> np.
     return w
 
 
+def _block_likelihood(kernel, ctx: MeasurementContext, geometry: GridGeometry, params, *args):
+    """A block kernel's weights for the reading at ctx.usv_pos on its covered
+    block, edge-extended to the grid; args follow the kernel's own.
+
+    The block is axis-aligned, so the Euclidean-nearest covered cell of any
+    cell is its componentwise index clamp into the block.
+    """
+    ui, uj = geometry.cell_of(ctx.usv_pos)
+    r = params.local_radius_cells
+    ilo, ihi = max(ui - r, 0), min(ui + r, geometry.nx - 1)
+    jlo, jhi = max(uj - r, 0), min(uj + r, geometry.ny - 1)
+    X, Y = geometry.cell_centers()
+    bx, by = X[None, 0, ilo : ihi + 1], Y[None, jlo : jhi + 1, 0]
+    w = kernel([ctx.usv_pos[0]], [ctx.usv_pos[1]], bx, by, (uj - jlo, ui - ilo), *args)[0]
+    rows = np.arange(geometry.ny).clip(jlo, jhi) - jlo
+    cols = np.arange(geometry.nx).clip(ilo, ihi) - ilo
+    return LikelihoodField(geometry, w.take(rows, 0).take(cols, 1))
+
+
 def detection_likelihood(
     ctx: MeasurementContext, geometry: GridGeometry, params: "PlannerParams"
 ) -> LikelihoodField:
@@ -179,11 +183,8 @@ def detection_likelihood(
     cell gets the kernel maximum (a detection right at the source is fully
     consistent).
     """
-    bx, by, own, pad = _covered_block(geometry, ctx.usv_pos, params.local_radius_cells)
-    w = detection_block_weights(
-        [ctx.usv_pos[0]], [ctx.usv_pos[1]], bx[None], by[None], own, ctx.v_hat, params.sigma2_hit
-    )
-    return LikelihoodField(geometry, np.pad(w[0], pad, mode="edge"))
+    args = (ctx.v_hat, params.sigma2_hit)
+    return _block_likelihood(detection_block_weights, ctx, geometry, params, *args)
 
 
 def miss_likelihood(
@@ -197,18 +198,8 @@ def miss_likelihood(
     vehicle's own cell takes the minimum covered weight, since a miss argues
     against the source being underfoot.
     """
-    bx, by, own, pad = _covered_block(geometry, ctx.usv_pos, params.local_radius_cells)
-    w = miss_block_weights(
-        [ctx.usv_pos[0]],
-        [ctx.usv_pos[1]],
-        bx[None],
-        by[None],
-        own,
-        ctx.last_hit_pos,
-        geometry.h,
-        params.sigma2_miss,
-    )
-    return LikelihoodField(geometry, np.pad(w[0], pad, mode="edge"))
+    args = (ctx.last_hit_pos, geometry.h, params.sigma2_miss)
+    return _block_likelihood(miss_block_weights, ctx, geometry, params, *args)
 
 
 def bayes_update(belief: GridBelief, like: LikelihoodField) -> GridBelief:

@@ -5,8 +5,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import io
 from .field import init_field, run_warmup
 from .mission import Mission, MissionGoal, MissionStatus, TrackResult
@@ -60,7 +58,7 @@ def run_single(
 ) -> tuple[TrackResult, float]:
     """Run one mission and write the full artifact set into out_dir."""
     goal = MissionGoal.for_scenario(scenario, seed=seed)
-    mission = Mission(goal, rng=np.random.default_rng(seed), collect_trace=trace)
+    mission = Mission(goal, collect_trace=trace)
     t_start = time.perf_counter()
     result = mission.run()
     wall = time.perf_counter() - t_start

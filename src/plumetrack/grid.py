@@ -31,6 +31,19 @@ class GridGeometry:
             raise ValueError(f"h: must be positive and finite, got {self.h}")
         if not (math.isfinite(self.origin[0]) and math.isfinite(self.origin[1])):
             raise ValueError(f"origin: must be finite, got {self.origin}")
+        # the kernels multiply two in-workspace displacements, each shorter
+        # than (nx + ny) * h; an integer too large for a float counts as inf
+        try:
+            cells = float(self.nx + self.ny)
+        except OverflowError:
+            cells = math.inf
+        span = cells * self.h
+        if not 2.0 * span * span < math.inf:
+            key = "h" if 2.0 * cells * cells < math.inf else "nx" if self.nx >= self.ny else "ny"
+            raise ValueError(
+                f"{key}: the workspace spans (nx + ny) * h = {span:.6g} m, too far for "
+                "the products of two displacements to stay finite"
+            )
 
     @property
     def k(self) -> int:

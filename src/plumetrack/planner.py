@@ -30,12 +30,13 @@ itself, so P_b is read from cumulative sums of the belief anchored at that
 border. A summed-area table would take P_b as a difference of partial sums of
 order one, and cancellation would lose small masses. The hit kernel of p_hit
 is not clamped, so p_hit stays a full-grid product with a slice of one kernel
-table, per candidate. The pass takes the candidates in chunks whose block
-arrays hold at most max(2^16, nx * ny) elements, so a wide window or a radius
-past the grid cannot hold C * nx * ny numbers at once; the bundled scenarios
-fit one chunk. The scores are two float64 arrays, ig and p_hit, aligned with
-the list of candidate cells, so scoring and selection build no object per
-candidate.
+table, per candidate. The table is detection_block_weights over the lattice
+of cell offsets, so the update and p_hit share one detection kernel. The pass
+takes the candidates in chunks whose block arrays hold at most
+max(2^16, nx * ny) elements, so a wide window or a radius past the grid cannot
+hold C * nx * ny numbers at once; the bundled scenarios fit one chunk. The
+scores are two float64 arrays, ig and p_hit, aligned with the list of
+candidate cells, so scoring and selection build no object per candidate.
 
 A mission passes score_candidates a memory of the windows it scored for its
 current belief. A window's scores depend only on the belief, the vehicle's
@@ -56,7 +57,6 @@ import numpy as np
 from .belief import (
     GridBelief,
     MeasurementContext,
-    angle_between,
     detection_block_weights,
     miss_block_weights,
 )
@@ -112,16 +112,16 @@ def _hit_kernel_table(geometry: GridGeometry, v_hat: tuple[float, float], sigma2
     """Detection kernel over all cell-to-cell offsets.
 
     Entry [dj + ny - 1, di + nx - 1] is the kernel weight for a candidate
-    displaced (di, dj) cells from a hypothesized source cell; the zero offset
-    carries the kernel maximum. Cell centres lie on a regular lattice, so a
-    candidate's full-grid kernel is a reversed slice of this table.
+    displaced (di, dj) cells from a hypothesized source cell: the block
+    kernel for one reading at the origin over cells at minus each offset
+    (0.0 - (-d * h) is d * h exactly), with the zero offset as its own cell.
+    Cell centres lie on a regular lattice, so a candidate's full-grid kernel
+    is a reversed slice of this table.
     """
     nx, ny = geometry.nx, geometry.ny
-    di = np.arange(-(nx - 1), nx)[None, :]
-    dj = np.arange(-(ny - 1), ny)[:, None]
-    theta = angle_between(di * geometry.h, dj * geometry.h, v_hat[0], v_hat[1])
-    table = np.exp(-(theta**2) / (2.0 * sigma2))
-    table[ny - 1, nx - 1] = 1.0
+    bx = np.arange(nx - 1, -nx, -1)[None] * geometry.h
+    by = np.arange(ny - 1, -ny, -1)[None] * geometry.h
+    table = detection_block_weights([0.0], [0.0], bx, by, (ny - 1, nx - 1), v_hat, sigma2)[0]
     table.setflags(write=False)
     return table
 

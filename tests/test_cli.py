@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plumetrack import GridGeometry
-from plumetrack.cli import main
+from plumetrack import GridGeometry, Mission, MissionGoal, parse_scenario
+from plumetrack.cli import main, write_outputs
 from plumetrack.io import (
     _cell,
     _write_csv,
@@ -80,6 +80,24 @@ class TestRunCommand:
             assert main(["run", "--scenario", str(small_file), "--seed", "3", "--out", str(out)]) == 0
             hashes.append((_sha(out / "metrics.json"), _sha(out / "trajectory.csv")))
         assert hashes[0] == hashes[1]
+
+    def test_seed_reaches_the_sensor_noise(self, tmp_path):
+        # noise about the size of the auto-calibrated threshold draws from the
+        # mission's generator at every reading
+        cfg = {**SMALL, "sonde": {"noise_std": 2e-3}}
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(cfg))
+        scenario = parse_scenario(path)
+        trajectories = []
+        for seed in (4, 5):
+            cli, api = tmp_path / f"cli_{seed}", tmp_path / f"api_{seed}"
+            main(["run", "--scenario", str(path), "--seed", str(seed), "--out", str(cli)])
+            mission = Mission(MissionGoal.for_scenario(scenario, seed=seed))
+            write_outputs(mission.run(), mission, api)
+            trajectory = (cli / "trajectory.csv").read_bytes()
+            assert trajectory == (api / "trajectory.csv").read_bytes()
+            trajectories.append(trajectory)
+        assert trajectories[0] != trajectories[1]
 
     def test_trace_flag_writes_planner_trace(self, small_file, tmp_path):
         out = tmp_path / "out"

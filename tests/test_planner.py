@@ -17,6 +17,7 @@ from plumetrack import (
 )
 from plumetrack.belief import (
     DegenerateUpdateError,
+    angle_between,
     bayes_update,
     detection_likelihood,
     miss_likelihood,
@@ -124,6 +125,52 @@ class TestPredictedHitProbability:
         p_half = hit_probability(belief, (7, 7), PlannerParams(detection_ceiling=0.5))
         assert p_half == pytest.approx(0.5, abs=1e-6)
         assert p_full == pytest.approx(1.0, abs=1e-5)
+
+
+def closed_form_hit_table(geom, v_hat, sigma2):
+    """The detection kernel written out over the cell-to-cell offsets, with
+    the kernel maximum at the zero offset: the layout of _hit_kernel_table."""
+    nx, ny = geom.nx, geom.ny
+    di = np.arange(-(nx - 1), nx)[None, :]
+    dj = np.arange(-(ny - 1), ny)[:, None]
+    theta = angle_between(di * geom.h, dj * geom.h, v_hat[0], v_hat[1])
+    table = np.exp(-(theta**2) / (2.0 * sigma2))
+    table[ny - 1, nx - 1] = 1.0
+    return table
+
+
+@st.composite
+def hit_table_cases(draw):
+    """Grids of 1x1 to 25x25 cells with non-integer h and a non-zero origin,
+    any wind direction, sigma2_hit from 1e-2 to 10 and a reading at a cell
+    centre."""
+    nx, ny = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    h = draw(st.floats(0.1, 10.0).filter(lambda h: not h.is_integer()))
+    origin = draw(
+        st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)).filter(any)
+    )
+    geom = GridGeometry(nx, ny, h, origin)
+    wind = draw(st.floats(0.0, 2.0 * math.pi))
+    sigma2_hit = draw(st.floats(0.01, 10.0))
+    cell = draw(st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1)))
+    return geom, (math.cos(wind), math.sin(wind)), sigma2_hit, cell
+
+
+class TestOneDetectionKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(hit_table_cases())
+    def test_hit_table_is_the_update_kernel(self, case):
+        geom, v_hat, sigma2_hit, (ci, cj) = case
+        table = _hit_kernel_table(geom, v_hat, sigma2_hit)
+        assert table.tobytes() == closed_form_hit_table(geom, v_hat, sigma2_hit).tobytes()
+        # a radius that covers the grid leaves no clamped cell, so the update's
+        # likelihood is the kernel p_hit reads, up to the rounding of the
+        # cell-centre differences off the origin
+        params = PlannerParams(sigma2_hit=sigma2_hit, local_radius_cells=max(geom.nx, geom.ny))
+        ctx = MeasurementContext(geom.cell_center(ci, cj), v_hat)
+        weights = detection_likelihood(ctx, geom, params).weights
+        kernel = table[cj : cj + geom.ny, ci : ci + geom.nx][::-1, ::-1]
+        assert np.allclose(weights, kernel, rtol=0, atol=1e-12)
 
 
 class TestInformationGain:

@@ -16,6 +16,7 @@ from plumetrack import (
     Scenario,
     ScenarioError,
     SourceSpec,
+    TrackResult,
     parse_scenario,
     scenario_from_dict,
 )
@@ -273,6 +274,44 @@ def test_error_line_quotes_a_bounded_value(tmp_path, monkeypatch, capsys, key_pa
     lines = capsys.readouterr().err.splitlines()
     assert lines and all(len(line) < 200 for line in lines), lines
     assert key_path in lines[0]
+
+
+def workspace_of_scenario_a(**workspace):
+    """scenario_a on a 10x10 workspace with the given keys replaced, the
+    source and the start at the origin."""
+    cfg = json.loads(resolve_scenario_path("scenario_a").read_text())
+    cfg["workspace"].update({"nx": 10, "ny": 10, **workspace})
+    cfg["source"]["position"] = cfg["usv"]["start"] = [0.0, 0.0]
+    return cfg
+
+
+# (workspace keys, key path) of grids across which the product of two
+# displacements, bounded by 2 * ((nx + ny) * h)^2, overflows a float
+OVERSIZED_WORKSPACES = {
+    # max_stable_dt's h**2 raised OverflowError
+    "h=1e308": ({"h": 1e308}, "workspace.h"),
+    # x_bounds could not convert nx to a float
+    "nx=9x401": ({"nx": int("9" * 401), "h": 5.0}, "workspace.nx"),
+    # validated, then the miss kernel's angle went NaN mid-mission
+    "h=1.3e154": ({"h": 1.3e154}, "workspace.h"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_WORKSPACES))
+def test_oversized_workspace_rejected_at_parse_time(tmp_path, capsys, case):
+    workspace, key_path = OVERSIZED_WORKSPACES[case]
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(workspace_of_scenario_a(**workspace)))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert f": {key_path}: " in capsys.readouterr().err
+
+
+def test_workspace_just_inside_the_float_bound_runs():
+    # on 10x10 cells the bound 2 * (20 * h)^2 < inf holds up to h = 4.74e152
+    with pytest.raises(ValueError, match=r"^h: "):
+        GridGeometry(10, 10, 4.75e152)
+    sc = scenario_from_dict(workspace_of_scenario_a(h=4.74e152))
+    assert isinstance(Mission(MissionGoal(sc)).run(), TrackResult)
 
 
 class TestRoundTrip:
