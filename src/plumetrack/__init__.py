@@ -39,6 +39,6 @@ from .uncertainty import (
     smallest_credible_interval,
     termination_check,
 )
-from .vehicle import SondeReading, SondeSpec, UsvState, advance_towards, take_reading
+from .vehicle import SondeReading, advance_towards, take_reading
 
 __version__ = "0.1.0"

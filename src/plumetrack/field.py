@@ -137,23 +137,19 @@ def step(field: ScalarField, flow: FlowSpec, source: SourceSpec, dt: float) -> S
     # Face k of an axis with cell stride t lies between cells k - t and k, so
     # a flux difference is f[t:] - f[:-t]. Along x the face between two rows
     # is the right wall of one and the left wall of the next.
-    vx, vy = flow.v
-    if vx != 0.0:
-        f = faces[: n + 1]
-        p = f[1:] if vx > 0 else f[:n]  # p[k]: the upwind flux leaving cell k
-        np.multiply(c, vx, out=p)
-        f[0], f[n] = p[0], p[n - 1]  # zero-gradient ghosts: the wall cell's flux
-        np.subtract(f[1:], f[:n], out=delta)
-        # an inflow wall's zero-gradient ghost gives its cell one flux in and
-        # out; a shared face holds the other row's outflow flux
-        wall = slice(0, n, nx) if vx > 0 else slice(nx - 1, n, nx)
-        np.subtract(p[wall], p[wall], out=delta[wall])
-        adv = np.subtract(adv, np.multiply(delta, s, out=delta), out=dest)
-    if vy != 0.0:
-        p = faces[nx:] if vy > 0 else faces[:n]
-        np.multiply(c, vy, out=p)
-        faces[:nx], faces[n:] = p[:nx], p[n - nx :]
-        np.subtract(faces[nx:], faces[:n], out=delta)
+    for axis, (t, v) in enumerate(zip((1, nx), flow.v)):
+        if v == 0.0:
+            continue
+        f = faces[: n + t]
+        p = f[t:] if v > 0 else f[:n]  # p[k]: the upwind flux leaving cell k
+        np.multiply(c, v, out=p)
+        f[:t], f[n:] = p[:t], p[n - t :]  # zero-gradient ghosts: the wall cells' flux
+        np.subtract(f[t:], f[:n], out=delta)
+        if axis == 0:
+            # an inflow wall's zero-gradient ghost gives its cell one flux in
+            # and out; a shared face holds the other row's outflow flux
+            wall = slice(0, n, nx) if v > 0 else slice(nx - 1, n, nx)
+            np.subtract(p[wall], p[wall], out=delta[wall])
         adv = np.subtract(adv, np.multiply(delta, s, out=delta), out=dest)
 
     res = adv

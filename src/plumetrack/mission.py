@@ -1,10 +1,13 @@
 """Closed tracking loop with in-process action semantics.
 
-A mission owns the warmed-up plume field, the vehicle, the grid belief and
-the planner, and iterates measure, update, plan, navigate until the credible
-interval termination test passes, a budget runs out, or the goal is
-cancelled. Feedback is emitted exactly once per belief update. Cancellation
-is a flag checked at update boundaries, safe to set from another thread.
+A mission owns the warmed-up plume field, the vehicle's position, the grid
+belief and the planner, and iterates measure, update, plan, navigate until the
+credible interval termination test passes, a budget runs out, or the goal is
+cancelled. The field's time is the mission's one clock, and the vehicle's
+speed and sonde settings are read from the scenario; only the calibrated
+sonde threshold is the mission's own. Feedback is emitted exactly once per
+belief update. Cancellation is a flag checked at update boundaries, safe to
+set from another thread.
 
 Everything in the loop is deterministic for a fixed (scenario, seed): the
 random generator is consumed only by sensor noise, which defaults to off.
@@ -34,7 +37,7 @@ from .field import init_field, run_warmup, step as field_step
 from .planner import score_candidates, select_waypoint
 from .scenario import Scenario
 from .uncertainty import sci_widths, termination_check
-from .vehicle import SondeSpec, UsvState, advance_towards, take_reading
+from .vehicle import advance_towards, take_reading
 
 logger = logging.getLogger(__name__)
 
@@ -115,19 +118,18 @@ class Mission:
         self.log = MissionLog(trace=[] if collect_trace else None)
 
         self.field = run_warmup(init_field(sc.geometry), sc.flow, sc.source, sc.warmup_s, sc.dt)
-        threshold = sc.sonde_threshold
-        if threshold is None:
-            threshold = sc.sonde_threshold_fraction * float(self.field.values.max())
-            if not threshold > 0:
+        self.threshold = sc.sonde_threshold
+        if self.threshold is None:
+            self.threshold = sc.sonde_threshold_fraction * float(self.field.values.max())
+            if not self.threshold > 0:
                 raise ValueError(
                     "sonde auto-calibration found an empty plume; "
                     "set sonde.threshold explicitly or check the source rate"
                 )
-        self.sonde = SondeSpec(threshold, sc.sonde_noise_std, sc.sonde_sample_period)
 
         self.v_hat = sc.flow.direction()
         self.belief = uniform_belief(sc.geometry)
-        self.usv = UsvState(sc.usv_start, sc.usv_speed, time=self.field.time)
+        self.position = sc.usv_start
         self.last_hit: tuple[float, float] | None = None
         self._scores: dict = {}  # score_candidates' memory
         self._t0 = self.field.time
@@ -156,7 +158,7 @@ class Mission:
 
     @property
     def sim_time_s(self) -> float:
-        return self.usv.time - self._t0
+        return self.field.time - self._t0
 
     # -- the loop ----------------------------------------------------------
 
@@ -177,7 +179,9 @@ class Mission:
                 status = MissionStatus.ABORTED
                 break
 
-            reading = take_reading(self.field, self.usv, self.sonde, self._rng)
+            reading = take_reading(
+                self.field, self.position, self.threshold, sc.sonde_noise_std, self._rng
+            )
             if reading.z:
                 self.last_hit = reading.position
             # the detection kernel ignores last_hit_pos, so the context the
@@ -203,7 +207,7 @@ class Mission:
                 sim_time_s=self.sim_time_s,
                 estimate=estimate,
                 sci_m=widths,
-                usv_position=self.usv.position,
+                usv_position=self.position,
                 last_z=reading.z,
             )
             self.log.feedbacks.append(fb)
@@ -218,7 +222,7 @@ class Mission:
                 status = MissionStatus.SUCCEEDED
                 break
 
-            usv_cell = sc.geometry.cell_of(self.usv.position)
+            usv_cell = sc.geometry.cell_of(self.position)
             scores = score_candidates(self.belief, usv_cell, ctx, sc.planner, memory=self._scores)
             waypoint_cell = select_waypoint(self.belief, usv_cell, ctx, sc.planner, scores=scores)
             if self.log.trace is not None:
@@ -245,7 +249,8 @@ class Mission:
         return self._result
 
     def _travel(self, waypoint) -> bool:
-        """Advance vehicle and field on the same dt schedule until arrival.
+        """Step the field by dt and move the vehicle usv_speed * dt per step
+        until arrival.
 
         In continuous measure mode the leg is interrupted once sample_period
         elapses, so the next reading happens en route. Returns False, leaving
@@ -253,14 +258,15 @@ class Mission:
         mission past max_sim_time_s.
         """
         sc = self.goal.scenario
+        reach = sc.usv_speed * sc.dt
         elapsed = 0.0
-        while self.usv.position != tuple(waypoint):
-            if self.usv.time + sc.dt - self._t0 > sc.max_sim_time_s:
+        while self.position != tuple(waypoint):
+            if self.field.time + sc.dt - self._t0 > sc.max_sim_time_s:
                 return False
-            self.usv = advance_towards(self.usv, waypoint, sc.dt, sc.geometry)
+            self.position = advance_towards(self.position, waypoint, reach, sc.geometry)
             self.field = field_step(self.field, sc.flow, sc.source, sc.dt)
             elapsed += sc.dt
-            if sc.measure_mode == "continuous" and elapsed + 1e-9 >= self.sonde.sample_period:
+            if sc.measure_mode == "continuous" and elapsed + 1e-9 >= sc.sonde_sample_period:
                 break
         return True
 

@@ -1,4 +1,9 @@
-"""Survey vehicle kinematics and the thresholding sonde."""
+"""Survey vehicle kinematics and the thresholding sonde.
+
+The vehicle is its position alone. Its clock is the plume field's, and its
+cruise speed and sonde settings are Scenario fields; the mission passes
+them in.
+"""
 
 from dataclasses import dataclass
 
@@ -6,34 +11,6 @@ import numpy as np
 
 from .field import ScalarField, sample_concentration
 from .grid import GridGeometry
-
-
-@dataclass(frozen=True)
-class UsvState:
-    position: tuple[float, float]
-    speed: float
-    time: float = 0.0
-
-    def __post_init__(self):
-        if not self.speed > 0:
-            raise ValueError(f"cruise speed must be positive, got {self.speed}")
-
-
-@dataclass(frozen=True)
-class SondeSpec:
-    """Concentration cutoff for z = 1, optional Gaussian noise, sample cadence."""
-
-    threshold: float
-    noise_std: float = 0.0
-    sample_period: float = 1.0
-
-    def __post_init__(self):
-        if not self.threshold > 0:
-            raise ValueError(f"sonde threshold must be positive, got {self.threshold}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not self.sample_period > 0:
-            raise ValueError(f"sample_period must be positive, got {self.sample_period}")
 
 
 @dataclass(frozen=True)
@@ -45,36 +22,39 @@ class SondeReading:
 
 
 def advance_towards(
-    state: UsvState, waypoint, dt: float, geometry: GridGeometry | None = None
-) -> UsvState:
-    """Move straight at the waypoint for dt, clamping to it without overshoot."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    position, waypoint, reach: float, geometry: GridGeometry | None = None
+) -> tuple[float, float]:
+    """Move straight at the waypoint by up to reach metres, clamping to it
+    without overshoot."""
+    if not reach > 0:
+        raise ValueError(f"reach must be positive, got {reach}")
     if geometry is not None and not geometry.contains(waypoint):
         raise ValueError(f"waypoint {tuple(waypoint)} outside workspace")
     wx, wy = float(waypoint[0]), float(waypoint[1])
-    dx = wx - state.position[0]
-    dy = wy - state.position[1]
+    dx = wx - position[0]
+    dy = wy - position[1]
     dist = float(np.hypot(dx, dy))
-    reach = state.speed * dt
     if dist <= reach or dist == 0.0:
-        pos = (wx, wy)
-    else:
-        frac = reach / dist
-        pos = (state.position[0] + frac * dx, state.position[1] + frac * dy)
-    return UsvState(pos, state.speed, state.time + dt)
+        return (wx, wy)
+    frac = reach / dist
+    return (position[0] + frac * dx, position[1] + frac * dy)
 
 
 def take_reading(
-    field: ScalarField, state: UsvState, sonde: SondeSpec, rng: np.random.Generator
+    field: ScalarField, position, threshold: float, noise_std: float, rng: np.random.Generator
 ) -> SondeReading:
-    """Sample the field at the vehicle, add sensor noise, binarize.
+    """Sample the field at position, add sensor noise, binarize at threshold
+    (z = 1 when the concentration reaches it); stamped with the field's time.
 
     With noise_std = 0 the generator is never consumed, so noise-free runs
     are seed independent.
     """
-    c = sample_concentration(field, state.position)
-    if sonde.noise_std > 0:
-        c = max(0.0, c + float(rng.normal(0.0, sonde.noise_std)))
-    z = 1 if c >= sonde.threshold else 0
-    return SondeReading(time=state.time, position=state.position, concentration=c, z=z)
+    if not threshold > 0:
+        raise ValueError(f"sonde threshold must be positive, got {threshold}")
+    if noise_std < 0:
+        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    c = sample_concentration(field, position)
+    if noise_std > 0:
+        c = max(0.0, c + float(rng.normal(0.0, noise_std)))
+    z = 1 if c >= threshold else 0
+    return SondeReading(time=field.time, position=position, concentration=c, z=z)

@@ -332,3 +332,19 @@ class TestCsvWriters:
         write_grid_csv(tmp_path / "ours.csv", geom, values, "probability")
         expected = _csv_module_bytes(tmp_path / "ref.csv", header, rows)
         assert (tmp_path / "ours.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("command", [["run"], ["batch", "--trials", "1"], ["field", "--t", "1"]])
+def test_grid_too_large_to_allocate_is_a_usage_error(command, tmp_path, capsys):
+    # 10^16 cells pass validation, but their first array exceeds any address space
+    cfg = json.loads(resolve_scenario_path("scenario_a").read_text())
+    cfg["workspace"].update(nx=100_000_000, ny=100_000_000)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--scenario", str(path)]) == 0
+    out = tmp_path / "out"
+    assert main([*command, "--scenario", str(path), "--out", str(out / "x")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "allocate" in err[0]
+    assert not out.exists()

@@ -104,7 +104,6 @@ def test_time_budget_is_never_overrun(budget, mode):
     # readings where the vehicle already stood
     positions = [fb.usv_position for fb in mission.log.feedbacks]
     assert all(a != b for a, b in zip(positions, positions[1:]))
-    assert mission.field.time == mission.usv.time
 
 
 def test_estimate_stays_inside_workspace():
@@ -210,18 +209,6 @@ def test_belief_normalized_throughout():
     mission.run()
     assert sums
     assert all(abs(s - 1.0) <= 1e-9 for s in sums)
-
-
-def test_field_and_vehicle_clocks_stay_synchronized():
-    goal = MissionGoal.for_scenario(small_scenario())
-    mission = Mission(goal)
-
-    def check(fb):
-        assert mission.field.time == mission.usv.time
-
-    mission._feedback_cb = check
-    mission.run()
-    assert mission.field.time == mission.usv.time
 
 
 def test_trajectory_rows_cover_all_readings():

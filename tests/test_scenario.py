@@ -244,6 +244,15 @@ NON_FINITE_FIELDS = {
     # not a non-finite value, but rejected the same way: numpy's generators
     # would reject it later without naming the key
     "seed=-1": (lambda sc: MissionGoal.for_scenario(sc, seed=-1), "seed"),
+    # out of range too: the vehicle's speed and sonde settings are checked
+    # once, on the Scenario, and the vehicle functions take them as given
+    "usv_speed=0": (lambda sc: replace(sc, usv_speed=0.0), "usv.speed"),
+    "sonde_threshold=0": (lambda sc: replace(sc, sonde_threshold=0.0), "sonde.threshold"),
+    "sonde_noise_std=-0.1": (lambda sc: replace(sc, sonde_noise_std=-0.1), "sonde.noise_std"),
+    "sonde_sample_period=0": (
+        lambda sc: replace(sc, sonde_sample_period=0.0),
+        "sonde.sample_period",
+    ),
 }
 
 
