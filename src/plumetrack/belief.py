@@ -10,7 +10,9 @@ cells, built from a Gaussian kernel on angular deviation:
 * miss (z = 0): the source is more plausible towards the last detection, so
   a cell is weighted by the angle between the direction from the vehicle to
   the cell and the direction to the last above-threshold reading, with
-  variance sigma2_miss. Before any detection a miss carries no information.
+  variance sigma2_miss. Before any detection a miss carries no information:
+  its likelihood is constant, so the mission builds none and keeps its
+  belief object, which is what bayes_update returns for it.
 
 The kernel is computed only on the covered block, the square neighbourhood of
 the vehicle's cell clipped to the grid, by the same batched block kernels the
@@ -207,7 +209,8 @@ def bayes_update(belief: GridBelief, like: LikelihoodField) -> GridBelief:
 
     A constant positive likelihood, such as a miss before the first detection,
     returns the prior object itself: that is the exact posterior, which
-    renormalizing would perturb in the last bits.
+    renormalizing would perturb in the last bits. The mission relies on this
+    to skip such misses and to reuse the prior's estimate and SCI widths.
     """
     if belief.geometry != like.geometry:
         raise ValueError("belief and likelihood must share one grid geometry")

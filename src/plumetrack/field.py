@@ -115,7 +115,9 @@ def step(field: ScalarField, flow: FlowSpec, source: SourceSpec, dt: float) -> S
 
     Upwind advection, then central diffusion, then injection of
     source.rate * dt / h^2 into the cell containing the source. Raises if dt
-    is not finite and positive or exceeds the stability bound.
+    is not finite and positive or exceeds the stability bound, and, where a
+    velocity or diffusivity at the float underflow limit lets the bound near
+    the largest float, if dt / h or the source cell would not be finite.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -126,6 +128,8 @@ def step(field: ScalarField, flow: FlowSpec, source: SourceSpec, dt: float) -> S
     geom = field.geometry
     nx, n, h = geom.nx, geom.k, geom.h
     s = dt / h
+    if not s < math.inf:
+        raise ValueError(f"dt / h = {dt} / {h} is not a finite float")
     lam = flow.diffusivity
     c = field.values.reshape(n)
     out = np.empty(n)
@@ -171,7 +175,12 @@ def step(field: ScalarField, flow: FlowSpec, source: SourceSpec, dt: float) -> S
     # flux differencing can leave ulp-scale negatives at the exact CFL limit
     np.maximum(res, 0.0, out=out)
     if source.rate > 0:
-        out[geom.flat_index(*geom.cell_of(source.position))] += source.rate * dt / h**2
+        k = geom.flat_index(*geom.cell_of(source.position))
+        # Python float arithmetic: an overflow gives inf, not a warning
+        injected = float(out[k]) + source.rate * dt / h**2
+        if not injected < math.inf:
+            raise ValueError(f"source injection over dt={dt} makes the source cell not finite")
+        out[k] = injected
     return ScalarField(geom, out.reshape(geom.ny, nx), field.time + dt)
 
 

@@ -6,8 +6,13 @@ credible interval termination test passes, a budget runs out, or the goal is
 cancelled. The field's time is the mission's one clock, and the vehicle's
 speed and sonde settings are read from the scenario; only the calibrated
 sonde threshold is the mission's own. Feedback is emitted exactly once per
-belief update. Cancellation is a flag checked at update boundaries, safe to
+reading. Cancellation is a flag checked at update boundaries, safe to
 set from another thread.
+
+A miss before the first detection carries no information: the loop builds
+no likelihood for it and keeps the belief object, as bayes_update would for
+that constant likelihood. The point estimate and SCI widths are recomputed
+only when the belief is a different object from the one they describe.
 
 Everything in the loop is deterministic for a fixed (scenario, seed): the
 random generator is consumed only by sensor noise, which defaults to off.
@@ -171,6 +176,7 @@ class Mission:
 
         sc = self.goal.scenario
         out_of_time = False
+        summarized = None  # the belief object that estimate and widths describe
         while True:
             if self._cancel.is_set():
                 status = MissionStatus.CANCELED
@@ -187,21 +193,25 @@ class Mission:
             # the detection kernel ignores last_hit_pos, so the context the
             # planner needs serves the update as well
             ctx = MeasurementContext(reading.position, self.v_hat, self.last_hit)
-            kernel = detection_likelihood if reading.z else miss_likelihood
-            like = kernel(ctx, sc.geometry, sc.planner)
-            try:
-                self.belief = bayes_update(self.belief, like)
-            except DegenerateUpdateError:
-                self.log.degenerate_updates += 1
-                logger.warning(
-                    "degenerate update at step %d (z=%d); prior kept",
-                    self.updates_used + 1,
-                    reading.z,
-                )
+            # a miss before the first detection has a constant likelihood,
+            # for which bayes_update returns the prior: skip building it
+            if self.last_hit is not None:
+                kernel = detection_likelihood if reading.z else miss_likelihood
+                like = kernel(ctx, sc.geometry, sc.planner)
+                try:
+                    self.belief = bayes_update(self.belief, like)
+                except DegenerateUpdateError:
+                    self.log.degenerate_updates += 1
+                    logger.warning(
+                        "degenerate update at step %d (z=%d); prior kept",
+                        self.updates_used + 1,
+                        reading.z,
+                    )
             self.updates_used += 1
 
-            estimate = point_estimate(self.belief)
-            widths = sci_widths(self.belief, sc.gamma)
+            if self.belief is not summarized:
+                summarized = self.belief
+                estimate, widths = point_estimate(summarized), sci_widths(summarized, sc.gamma)
             fb = MissionFeedback(
                 step=self.updates_used,
                 sim_time_s=self.sim_time_s,
@@ -234,8 +244,8 @@ class Mission:
             )
             out_of_time = not self._travel(waypoint)
 
-        estimate = point_estimate(self.belief)
-        widths = sci_widths(self.belief, sc.gamma)
+        if self.belief is not summarized:
+            estimate, widths = point_estimate(self.belief), sci_widths(self.belief, sc.gamma)
         src = sc.source.position
         error = float(np.hypot(estimate[0] - src[0], estimate[1] - src[1]))
         self._result = TrackResult(

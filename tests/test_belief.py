@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -237,6 +238,22 @@ class TestKernelsOnTheCoveredBlock:
         for kernel in (detection_likelihood, miss_likelihood):
             expected = _full_grid_reference(kernel, ctx, geom, params)
             assert np.array_equal(kernel(ctx, geom, params).weights, expected)
+
+
+class TestMissBeforeFirstDetection:
+    # Mission.run skips these misses and keeps its belief object; should a
+    # miss before the first detection ever carry information, this fails
+    # and the skip has to go
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_cases(), st.integers(0, 2**32 - 1))
+    def test_constant_likelihood_keeps_the_prior(self, case, seed):
+        ctx, geom, params = case
+        like = miss_likelihood(dataclasses.replace(ctx, last_hit_pos=None), geom, params)
+        assert like.weights.min() > 0
+        assert like.weights.min() == like.weights.max()
+        p = np.random.default_rng(seed).random((geom.ny, geom.nx)) ** 3
+        for prior in (uniform_belief(geom), GridBelief(geom, p / p.sum())):
+            assert bayes_update(prior, like) is prior
 
 
 class TestBayesUpdate:

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+import plumetrack.mission as mission_module
 import plumetrack.planner as planner
 from plumetrack import (
     Mission,
@@ -282,6 +283,37 @@ def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
     assert result.updates == 100
     assert mission.belief is start
     assert len(calls) <= 11
+
+
+def test_search_without_detection_does_no_belief_work(monkeypatch):
+    # every reading is a miss before the first detection, and such a miss
+    # builds no likelihood: the start belief is summarized once, for all
+    # feedbacks and the result
+    calls = {}
+
+    def count(name):
+        fn = getattr(mission_module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(mission_module, name, counted)
+
+    for name in ("detection_likelihood", "miss_likelihood", "bayes_update",
+                 "point_estimate", "sci_widths"):
+        count(name)
+    goal = MissionGoal.for_scenario(parse_scenario("scenario_upwind"), max_updates=8)
+    mission = Mission(goal)
+    start = mission.belief
+    result = mission.run()
+    assert result.updates == 8
+    assert calls == {"point_estimate": 1, "sci_widths": 1}
+    assert mission.belief is start
+    feedbacks = mission.log.feedbacks
+    assert [fb.step for fb in feedbacks] == list(range(1, 9))
+    assert all(fb.last_z == 0 for fb in feedbacks)
+    assert {(fb.estimate, fb.sci_m) for fb in feedbacks} == {(result.estimate, result.sci_m)}
 
 
 def test_upwind_search_traces_each_remembered_window_as_one_object():
