@@ -1,6 +1,7 @@
 """Workspace grid geometry shared by the plume field and the source belief."""
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +30,9 @@ class GridGeometry:
             raise ValueError(f"ny: must be >= 1, got {self.ny}")
         if not 0 < self.h < math.inf:
             raise ValueError(f"h: must be positive and finite, got {self.h}")
+        # the solver divides by the cell area
+        if not self.h * self.h >= sys.float_info.min:
+            raise ValueError(f"h: the cell area h * h of h = {self.h} underflows a normal float")
         if not (math.isfinite(self.origin[0]) and math.isfinite(self.origin[1])):
             raise ValueError(f"origin: must be finite, got {self.origin}")
         # the kernels multiply two in-workspace displacements, each shorter

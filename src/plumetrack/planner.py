@@ -111,16 +111,17 @@ def candidate_waypoints(
 def _hit_kernel_table(geometry: GridGeometry, v_hat: tuple[float, float], sigma2: float):
     """Detection kernel over all cell-to-cell offsets.
 
-    Entry [dj + ny - 1, di + nx - 1] is the kernel weight for a candidate
+    Entry [ny - 1 - dj, nx - 1 - di] is the kernel weight for a candidate
     displaced (di, dj) cells from a hypothesized source cell: the block
-    kernel for one reading at the origin over cells at minus each offset
-    (0.0 - (-d * h) is d * h exactly), with the zero offset as its own cell.
-    Cell centres lie on a regular lattice, so a candidate's full-grid kernel
-    is a reversed slice of this table.
+    kernel for one reading at the origin over the cell at minus that offset
+    (0.0 - (-d * h) is d * h exactly), with the zero offset, at
+    [ny - 1, nx - 1], as its own cell. Cell centres lie on a regular lattice,
+    so the full-grid kernel of candidate (ci, cj) is the positive-stride
+    slice [ny - 1 - cj : 2 ny - 1 - cj, nx - 1 - ci : 2 nx - 1 - ci].
     """
     nx, ny = geometry.nx, geometry.ny
-    bx = np.arange(nx - 1, -nx, -1)[None] * geometry.h
-    by = np.arange(ny - 1, -ny, -1)[None] * geometry.h
+    bx = np.arange(-(nx - 1), nx)[None] * geometry.h
+    by = np.arange(-(ny - 1), ny)[None] * geometry.h
     table = detection_block_weights([0.0], [0.0], bx, by, (ny - 1, nx - 1), v_hat, sigma2)[0]
     table.setflags(write=False)
     return table
@@ -130,11 +131,12 @@ def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) 
     """Belief-weighted chance that a measurement at each cell comes up hot,
     clipped to [prob_clip, 1 - prob_clip], through one reused product buffer."""
     geom = belief.geometry
+    nx, ny = geom.nx, geom.ny
     table = _hit_kernel_table(geom, tuple(v_hat), params.sigma2_hit)
     product = np.empty_like(belief.probs)
     sums = np.empty(len(cells))
     for c, (ci, cj) in enumerate(cells):
-        kernel = table[cj : cj + geom.ny, ci : ci + geom.nx][::-1, ::-1]
+        kernel = table[ny - 1 - cj : 2 * ny - 1 - cj, nx - 1 - ci : 2 * nx - 1 - ci]
         np.multiply(belief.probs, kernel, out=product)
         sums[c] = product.sum()
     return np.clip(params.detection_ceiling * sums, params.prob_clip, 1.0 - params.prob_clip)

@@ -90,6 +90,11 @@ class Scenario:
             raise ScenarioError(f"flow.{exc}") from exc
         if self.sonde_threshold is not None and not 0 < self.sonde_threshold < math.inf:
             raise ScenarioError("sonde.threshold: must be positive and finite when given")
+        if self.sonde_threshold is None and self.source.rate == 0:
+            raise ScenarioError(
+                "source.rate: a zero rate leaves no plume to calibrate the sonde "
+                "threshold on; give a positive rate or set sonde.threshold"
+            )
         if not 0 < self.sonde_threshold_fraction < 1:
             raise ScenarioError("sonde.threshold_fraction: must be in (0, 1)")
         if not 0 <= self.sonde_noise_std < math.inf:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from plumetrack import (
     sample_concentration,
     step,
 )
-from plumetrack.field import ScalarField
+from plumetrack.field import ScalarField, _warmed, warm_field
+from plumetrack.scenario import bundled_scenario_names, parse_scenario
 
 PAPER_GRID = GridGeometry(nx=100, ny=50, h=5.0)
 NO_SOURCE = SourceSpec(position=(0.0, 0.0), rate=0.0)
@@ -418,3 +420,40 @@ class TestRaveledStep:
             field = stepped
             assert np.isfinite(field.values).all()
             assert field.values.min() >= 0.0
+
+
+class TestWarmField:
+    """warm_field: the fields of run_warmup, spun up once per process."""
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_bitwise_equal_to_a_fresh_warmup(self, name):
+        sc = parse_scenario(name)
+        args = (sc.flow, sc.source, sc.warmup_s, sc.dt)
+        fresh = run_warmup(init_field(sc.geometry), *args)
+        _warmed.cache_clear()
+        for _ in range(2):  # the spin-up, then the cached field
+            warm = warm_field(sc.geometry, *args)
+            assert warm.geometry is sc.geometry
+            assert warm.time == fresh.time
+            assert warm.values.tobytes() == fresh.values.tobytes()
+
+    def test_values_are_read_only(self):
+        warm = warm_field(PAPER_GRID, FlowSpec((1.0, 0.5)), SourceSpec((2.5, 2.5), 1.0), 5.0, 1.0)
+        assert not warm.values.flags.writeable
+        with pytest.raises(ValueError):
+            warm.values[0, 0] = 1.0
+
+    def test_signed_zeros_share_an_entry_and_give_their_own_bits(self):
+        # the origin, the source position, the zero velocity component and
+        # the diffusivity each take either sign of zero: 64 variants that
+        # compare equal, so the first one's spin-up serves them all
+        _warmed.cache_clear()
+        for signs in itertools.product((0.0, -0.0), repeat=6):
+            ox, oy, sx, sy, vy, lam = signs
+            geom = GridGeometry(12, 8, 2.5, (ox, oy))
+            flow, source = FlowSpec((1.5, vy), lam), SourceSpec((sx, sy), 2.0)
+            fresh = run_warmup(init_field(geom), flow, source, 30.0, 1.0)
+            warm = warm_field(geom, flow, source, 30.0, 1.0)
+            assert warm.geometry is geom and warm.time == fresh.time
+            assert warm.values.tobytes() == fresh.values.tobytes()
+        assert _warmed.cache_info().currsize == 1

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+import plumetrack.field as field_module
 import plumetrack.mission as mission_module
 import plumetrack.planner as planner
 from plumetrack import (
@@ -14,6 +15,7 @@ from plumetrack import (
     parse_scenario,
     scenario_from_dict,
 )
+from plumetrack.cli import write_outputs
 
 
 def small_scenario(**overrides):
@@ -328,3 +330,67 @@ def test_untraced_mission_keeps_no_trace():
     mission = Mission(MissionGoal.for_scenario(small_scenario()))
     mission.run()
     assert mission.log.trace is None
+
+
+class TestSharedSpinUp:
+    """Missions of an equal scenario share one warm-up per process."""
+
+    @staticmethod
+    def _counted_steps(monkeypatch):
+        # run_warmup calls step through the field module's global; one entry per step
+        calls = []
+        step = field_module.step
+
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(field_module, "step", counted)
+        return calls
+
+    def test_second_equal_mission_steps_no_solver_in_its_constructor(self, monkeypatch):
+        field_module._warmed.cache_clear()
+        steps = self._counted_steps(monkeypatch)
+        sc = small_scenario()
+        Mission(MissionGoal.for_scenario(sc))
+        assert len(steps) == 120
+        # an equal scenario built anew, with another seed and budget
+        Mission(MissionGoal.for_scenario(small_scenario(), seed=4, max_updates=9))
+        assert len(steps) == 120
+
+    def test_a_mission_stepping_away_leaves_the_cached_field(self):
+        sc = small_scenario()
+        first = Mission(MissionGoal.for_scenario(sc))
+        warm = first.field.values
+        cached = warm.tobytes()
+        first.run()
+        assert first.field.values is not warm and first.field.time > 120.0
+        second = Mission(MissionGoal.for_scenario(sc))
+        assert second.field.values.tobytes() == cached
+        assert second.field.time == 120.0
+
+    def test_equal_missions_write_equal_artifacts(self, tmp_path):
+        field_module._warmed.cache_clear()
+        goal = MissionGoal.for_scenario(small_scenario())
+        for name in ("cold", "warm"):
+            mission = Mission(goal, collect_trace=True)
+            write_outputs(mission.run(), mission, tmp_path / name)
+        files = sorted(p.name for p in (tmp_path / "cold").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "warm").iterdir())
+        for name in files:
+            assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+    def test_a_warmup_that_raises_raises_again(self, monkeypatch):
+        # the injection of 4e306 kg/m^2 per step overflows the source cell
+        # within a minute of spin-up, and an exception is never cached
+        steps = self._counted_steps(monkeypatch)
+        goal = MissionGoal.for_scenario(
+            small_scenario(flow={"v": [0.01, 0.01]}, source={"rate": 1e308})
+        )
+        counts = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not finite"):
+                Mission(goal)
+            counts.append(len(steps))
+        # the second mission spun up again, as far as the first
+        assert 0 < counts[0] < 120 and counts[1] == 2 * counts[0]

@@ -16,9 +16,8 @@ from plumetrack import (
     uniform_belief,
 )
 from plumetrack.belief import (
-    DegenerateUpdateError,
     angle_between,
-    bayes_update,
+    detection_block_weights,
     detection_likelihood,
     miss_likelihood,
 )
@@ -129,14 +128,22 @@ class TestPredictedHitProbability:
 
 def closed_form_hit_table(geom, v_hat, sigma2):
     """The detection kernel written out over the cell-to-cell offsets, with
-    the kernel maximum at the zero offset: the layout of _hit_kernel_table."""
+    the kernel maximum at the zero offset: the layout of _hit_kernel_table,
+    whose entry [ny - 1 - dj, nx - 1 - di] holds offset (di, dj)."""
     nx, ny = geom.nx, geom.ny
-    di = np.arange(-(nx - 1), nx)[None, :]
-    dj = np.arange(-(ny - 1), ny)[:, None]
+    di = np.arange(nx - 1, -nx, -1)[None, :]
+    dj = np.arange(ny - 1, -ny, -1)[:, None]
     theta = angle_between(di * geom.h, dj * geom.h, v_hat[0], v_hat[1])
     table = np.exp(-(theta**2) / (2.0 * sigma2))
     table[ny - 1, nx - 1] = 1.0
     return table
+
+
+def candidate_kernel(table, geom, cand):
+    """The full-grid hit kernel of a candidate cell: a positive-stride slice."""
+    nx, ny = geom.nx, geom.ny
+    ci, cj = cand
+    return table[ny - 1 - cj : 2 * ny - 1 - cj, nx - 1 - ci : 2 * nx - 1 - ci]
 
 
 @st.composite
@@ -169,7 +176,7 @@ class TestOneDetectionKernel:
         params = PlannerParams(sigma2_hit=sigma2_hit, local_radius_cells=max(geom.nx, geom.ny))
         ctx = MeasurementContext(geom.cell_center(ci, cj), v_hat)
         weights = detection_likelihood(ctx, geom, params).weights
-        kernel = table[cj : cj + geom.ny, ci : ci + geom.nx][::-1, ::-1]
+        kernel = candidate_kernel(table, geom, (ci, cj))
         assert np.allclose(weights, kernel, rtol=0, atol=1e-12)
 
 
@@ -447,26 +454,36 @@ class TestScoreCandidates:
 
 def per_candidate_reference(belief, cand, ctx, params):
     """(p_hit, ig) of one candidate the direct way: both kernels on the full
-    grid as if the vehicle stood at the candidate, the two posteriors, and
-    sum(post * log(post / prior)) per branch, 0 for a degenerate one. The log
-    of the ratio is taken as a difference of logs: post / prior overflows when
-    the posterior puts its mass on a cell of subnormal prior mass."""
+    grid as if the vehicle stood at the candidate, and per branch the KL of
+    its posterior from the belief, 0 for a degenerate one.
+
+    Cells of one likelihood weight w share the ratio post / prior = w / Z, so
+    the KL is summed over the groups of equal weight: with m the prior mass
+    of a group, post = m * w / Z and KL = sum(post * (log post - log m)).
+    Summing a group's masses before multiplying keeps a small mass from
+    underflowing cell by cell against a subnormal weight (3e-9 * 6e-316 is
+    0). The grouping is by value alone, so it knows nothing of the planner's
+    clamp regions. The log of the ratio is a difference of logs, which cannot
+    overflow on a subnormal prior mass."""
     geom = belief.geometry
-    ci, cj = cand
     table = _hit_kernel_table(geom, tuple(ctx.v_hat), params.sigma2_hit)
-    kernel = table[cj : cj + geom.ny, ci : ci + geom.nx][::-1, ::-1]
+    kernel = candidate_kernel(table, geom, cand)
     p_hit = params.detection_ceiling * float(np.sum(belief.probs * kernel))
     p_hit = min(max(p_hit, params.prob_clip), 1.0 - params.prob_clip)
     cand_ctx = replace(ctx, usv_pos=geom.cell_center(*cand))
     ig = 0.0
     for weight, likelihood in ((p_hit, detection_likelihood), (1.0 - p_hit, miss_likelihood)):
-        try:
-            post = bayes_update(belief, likelihood(cand_ctx, geom, params)).probs
-        except DegenerateUpdateError:
+        levels, group = np.unique(
+            likelihood(cand_ctx, geom, params).weights.ravel(), return_inverse=True
+        )
+        mass = np.bincount(group, weights=belief.probs.ravel(), minlength=len(levels))
+        post = mass * levels
+        z = post.sum()
+        if not z > 0:  # a degenerate update keeps the prior
             continue
-        mask = post > 0
-        log_ratio = np.log(post[mask]) - np.log(belief.probs[mask])
-        ig += weight * float(np.sum(post[mask] * log_ratio))
+        post /= z
+        live = post > 0
+        ig += weight * float(np.sum(post[live] * (np.log(post[live]) - np.log(mass[live]))))
     return p_hit, ig
 
 
@@ -519,7 +536,42 @@ def scoring_cases(draw):
     return belief, usv_cell, ctx, params
 
 
+def reversed_slice_p_hit(belief, cells, v_hat, params):
+    """p_hit in the earlier layout: a table whose entry [dj + ny - 1, di + nx - 1]
+    holds offset (di, dj), read per candidate through a reversed slice."""
+    geom = belief.geometry
+    nx, ny = geom.nx, geom.ny
+    bx = np.arange(nx - 1, -nx, -1)[None] * geom.h
+    by = np.arange(ny - 1, -ny, -1)[None] * geom.h
+    own = (ny - 1, nx - 1)
+    table = detection_block_weights([0.0], [0.0], bx, by, own, v_hat, params.sigma2_hit)[0]
+    product = np.empty_like(belief.probs)
+    sums = np.empty(len(cells))
+    for c, (ci, cj) in enumerate(cells):
+        np.multiply(belief.probs, table[cj : cj + ny, ci : ci + nx][::-1, ::-1], out=product)
+        sums[c] = product.sum()
+    return np.clip(params.detection_ceiling * sums, params.prob_clip, 1.0 - params.prob_clip)
+
+
 class TestBatchedScoring:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hit_table_cases(),
+        st.one_of(st.floats(0.01, 10.0), st.just(1e-9)),
+        st.floats(0.01, 1.0),
+        st.sampled_from([1, 20]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_p_hit_equals_the_reversed_slice_form(self, case, sigma2_hit, ceiling, power, seed):
+        # every cell of the grid is a candidate, so every slice is read
+        geom, v_hat, *_ = case
+        p = np.random.default_rng(seed).random((geom.ny, geom.nx)) ** power
+        belief = GridBelief(geom, p / p.sum())
+        params = PlannerParams(sigma2_hit=sigma2_hit, detection_ceiling=ceiling)
+        cells = [(i, j) for j in range(geom.ny) for i in range(geom.nx)]
+        got = _hit_probabilities(belief, cells, v_hat, params)
+        assert got.tobytes() == reversed_slice_p_hit(belief, cells, v_hat, params).tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(scoring_cases())
     def test_matches_per_candidate_reference(self, case):

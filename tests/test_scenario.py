@@ -323,6 +323,36 @@ def test_workspace_just_inside_the_float_bound_runs():
     assert isinstance(Mission(MissionGoal(sc)).run(), TrackResult)
 
 
+def test_underflowing_cell_area_rejected_at_parse_time(tmp_path, capsys):
+    # h * h underflowed to 0 and the source injection divided by it: the run
+    # ended in a ZeroDivisionError traceback with exit 1, an aborted mission's
+    with pytest.raises(ValueError, match=r"^h: the cell area"):
+        GridGeometry(10, 10, 1.4e-154)  # h * h is subnormal
+    GridGeometry(10, 10, 1.5e-154)
+    cfg = workspace_of_scenario_a(h=1e-300)
+    cfg["sim"].update(dt=1e-301, warmup_s=0.0)
+    cfg["stopping"]["tau_m"] = 1e-305
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(cfg))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--scenario", str(path)]) == 2
+        assert ": workspace.h: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_rate_rejected_without_a_threshold(tmp_path, capsys):
+    # auto-calibration would find an empty plume only when the mission starts
+    cfg = json.loads(resolve_scenario_path("scenario_a").read_text())
+    cfg["source"]["rate"] = 0
+    path = tmp_path / "no_release.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert ": source.rate: " in capsys.readouterr().err
+    cfg["sonde"]["threshold"] = 0.01
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--scenario", str(path)]) == 0
+
+
 class TestRoundTrip:
     def test_round_trip_with_explicit_threshold_and_lambda(self):
         cfg = minimal_config()
