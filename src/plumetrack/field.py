@@ -203,13 +203,26 @@ def _scratch(n, nx):
 def run_warmup(
     field: ScalarField, flow: FlowSpec, source: SourceSpec, duration: float, dt: float = 1.0
 ) -> ScalarField:
-    """Step the field until field.time >= duration (plume spin-up)."""
+    """Step the field until field.time >= duration (plume spin-up). Raises,
+    before any step, for a target the clock may never reach (clock_stalls)."""
     if not 0 <= duration < math.inf:
         raise ValueError(f"warmup duration must be finite and >= 0, got {duration}")
     target = field.time + duration
+    if field.time < target and clock_stalls(target, dt):
+        raise ValueError(
+            f"warmup to t = {target:g} s never ends: below it t + dt == t for dt = {dt:g}"
+        )
     while field.time < target:
         field = step(field, flow, source, dt)
     return field
+
+
+def clock_stalls(until: float, dt: float) -> bool:
+    """Whether a clock that adds dt per step can stop short of until: some
+    time t below it has t + dt == t. Floats below until are spaced most
+    widely just below it, and a dt of at most half that spacing rounds away
+    there (exactly half rounds away on a tie to even)."""
+    return dt <= math.ulp(math.nextafter(until, 0.0)) / 2
 
 
 def warm_field(

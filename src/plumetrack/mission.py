@@ -130,12 +130,9 @@ class Mission:
         self.field = warm_field(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)
         self.threshold = sc.sonde_threshold
         if self.threshold is None:
+            # positive: the source cell holds at least one step's injection,
+            # and the Scenario checks that this fraction of it is
             self.threshold = sc.sonde_threshold_fraction * float(self.field.values.max())
-            if not self.threshold > 0:
-                raise ValueError(
-                    "sonde auto-calibration found an empty plume; "
-                    "set sonde.threshold explicitly or check the source rate"
-                )
 
         self.v_hat = sc.flow.direction()
         self.belief = uniform_belief(sc.geometry)

@@ -28,10 +28,14 @@ and a branch with Z = 0, a degenerate update, adds nothing. Along each axis a
 clamp region runs from the block edge to the grid border, or is the cell
 itself, so P_b is read from cumulative sums of the belief anchored at that
 border. A summed-area table would take P_b as a difference of partial sums of
-order one, and cancellation would lose small masses. The hit kernel of p_hit
-is not clamped, so p_hit stays a full-grid product with a slice of one kernel
-table, per candidate. The table is detection_block_weights over the lattice
-of cell offsets, so the update and p_hit share one detection kernel. The pass
+order one, and cancellation would lose small masses. The nine sums are
+written in place, a suffix sum through a reversed view, and a chunk's masses
+are one gather from them. The hit kernel of p_hit is not clamped, so p_hit
+stays a full-grid product per candidate with a kernel from one table, read as
+a contiguous run of a strip of the table copied once per candidate column.
+The table is detection_block_weights over the lattice of cell offsets, so the
+update and p_hit share one detection kernel. These forms multiply and add as
+plain slices of the grid would, in the same order, to the same bits. The pass
 takes the candidates in chunks whose block arrays hold at most
 max(2^16, nx * ny) elements, so a wide window or a radius past the grid cannot
 hold C * nx * ny numbers at once; the bundled scenarios fit one chunk. The
@@ -129,16 +133,25 @@ def _hit_kernel_table(geometry: GridGeometry, v_hat: tuple[float, float], sigma2
 
 def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) -> np.ndarray:
     """Belief-weighted chance that a measurement at each cell comes up hot,
-    clipped to [prob_clip, 1 - prob_clip], through one reused product buffer."""
+    clipped to [prob_clip, 1 - prob_clip], through one reused product buffer.
+    In the strip of column ci, the kernel of (ci, cj) is the nx * ny numbers
+    from row ny - 1 - cj on."""
     geom = belief.geometry
-    nx, ny = geom.nx, geom.ny
+    nx, ny, k = geom.nx, geom.ny, geom.k
     table = _hit_kernel_table(geom, tuple(v_hat), params.sigma2_hit)
-    product = np.empty_like(belief.probs)
-    sums = np.empty(len(cells))
+    probs = belief.probs.reshape(k)
+    product = np.empty(k)
+    strip = np.empty((2 * ny - 1, nx))
+    kernels = strip.reshape(-1)
+    by_column = {}
     for c, (ci, cj) in enumerate(cells):
-        kernel = table[ny - 1 - cj : 2 * ny - 1 - cj, nx - 1 - ci : 2 * nx - 1 - ci]
-        np.multiply(belief.probs, kernel, out=product)
-        sums[c] = product.sum()
+        by_column.setdefault(ci, []).append((c, (ny - 1 - cj) * nx))
+    sums = np.empty(len(cells))
+    for ci, column in by_column.items():
+        np.copyto(strip, table[:, nx - 1 - ci : 2 * nx - 1 - ci])
+        for c, start in column:
+            np.multiply(probs, kernels[start : start + k], out=product)
+            sums[c] = product.sum()
     return np.clip(params.detection_ceiling * sums, params.prob_clip, 1.0 - params.prob_clip)
 
 
@@ -174,15 +187,16 @@ def _block_axis(c: np.ndarray, r: int, n: int):
 def _anchored_sums(probs: np.ndarray) -> np.ndarray:
     """3x3 tables of shape (ny, nx) for _clamped_mass. Along each axis, table
     0 sums from the low grid border to an index, table 1 is the cell and
-    table 2 sums from an index to the high border."""
-
-    def along(a, axis):
-        return np.cumsum(a, axis), a, np.flip(np.cumsum(np.flip(a, axis), axis), axis)
-
+    table 2 sums from an index to the high border, written in place: a suffix
+    sum is a cumulative sum of the reversed axis into a reversed view."""
     tables = np.empty((3, 3, *probs.shape))
-    for kx, by_column in enumerate(along(probs, 1)):
-        for ky, table in enumerate(along(by_column, 0)):
-            tables[ky, kx] = table
+    rows = tables[1]  # the sums along x, which the sums along y read
+    np.cumsum(probs, 1, out=rows[0])
+    rows[1] = probs
+    np.cumsum(probs[:, ::-1], 1, out=rows[2, :, ::-1])
+    for kx in range(3):
+        np.cumsum(rows[kx], 0, out=tables[0, kx])
+        np.cumsum(rows[kx, ::-1], 0, out=tables[2, kx, ::-1])
     return tables
 
 
@@ -191,9 +205,13 @@ def _clamped_mass(tables: np.ndarray, rows, cols) -> np.ndarray:
     past a block; rows and cols are the last three results of _block_axis.
     Along an axis the clamp region of kind 0 runs from the grid border to the
     block's low edge, of kind 1 is the cell, and of kind 2 runs from the
-    block's high edge to the grid border."""
+    block's high edge to the grid border. One gather reads the raveled
+    tables at a row part plus a column part of each flat index."""
     (in_y, kind_y, read_y), (in_x, kind_x, read_x) = rows, cols
-    mass = tables[kind_y[:, :, None], kind_x[:, None, :], read_y[:, :, None], read_x[:, None, :]]
+    ny, nx = tables.shape[2:]
+    row = kind_y * (3 * ny * nx) + read_y * nx
+    col = kind_x * (ny * nx) + read_x
+    mass = tables.reshape(-1).take(row[:, :, None] + col[:, None, :])
     mass[~(in_y[:, :, None] & in_x[:, None, :])] = 0.0
     return mass
 

@@ -39,7 +39,7 @@ import reprlib
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .field import FlowSpec, SourceSpec, max_stable_dt
+from .field import FlowSpec, SourceSpec, clock_stalls, max_stable_dt
 from .grid import GridGeometry
 from .planner import PlannerParams
 
@@ -90,11 +90,6 @@ class Scenario:
             raise ScenarioError(f"flow.{exc}") from exc
         if self.sonde_threshold is not None and not 0 < self.sonde_threshold < math.inf:
             raise ScenarioError("sonde.threshold: must be positive and finite when given")
-        if self.sonde_threshold is None and self.source.rate == 0:
-            raise ScenarioError(
-                "source.rate: a zero rate leaves no plume to calibrate the sonde "
-                "threshold on; give a positive rate or set sonde.threshold"
-            )
         if not 0 < self.sonde_threshold_fraction < 1:
             raise ScenarioError("sonde.threshold_fraction: must be in (0, 1)")
         if not 0 <= self.sonde_noise_std < math.inf:
@@ -123,6 +118,28 @@ class Scenario:
             raise ScenarioError(f"sim.dt: {self.dt} exceeds the stability bound {bound:.6g}")
         if not 0 <= self.warmup_s < math.inf:
             raise ScenarioError("sim.warmup_s: must be finite and >= 0")
+        if clock_stalls(self.warmup_s, self.dt):
+            raise ScenarioError(
+                f"sim.warmup_s: the clock stops short of {self.warmup_s:g} s, "
+                f"where t + sim.dt == t for dt = {self.dt:g}"
+            )
+        if self.sonde_threshold is None:
+            # auto-calibration reads the warmed-up plume, which must not be empty
+            if self.warmup_s == 0:
+                raise ScenarioError(
+                    "sim.warmup_s: a zero warm-up leaves no plume to calibrate the "
+                    "sonde threshold on; give a positive warm-up or set sonde.threshold"
+                )
+            # field.step's injection per step, in its arithmetic: the source
+            # cell holds at least that after the warm-up, so a threshold
+            # fraction of it that does not underflow bounds the calibration
+            injection = self.source.rate * self.dt / self.geometry.h**2
+            if self.sonde_threshold_fraction * injection == 0:
+                raise ScenarioError(
+                    f"source.rate: the injection per step, rate * dt / h**2 = {injection:g}, "
+                    "times sonde.threshold_fraction is 0, so the calibrated sonde "
+                    "threshold could be 0; give a larger rate or set sonde.threshold"
+                )
         if self.max_updates < 0:
             raise ScenarioError("sim.max_updates: must be >= 0")
         if not 0 <= self.max_sim_time_s < math.inf:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plumetrack import (
     FlowSpec,
@@ -15,7 +15,8 @@ from plumetrack import (
     sample_concentration,
     step,
 )
-from plumetrack.field import ScalarField, _warmed, warm_field
+import plumetrack.field as field_module
+from plumetrack.field import ScalarField, _warmed, clock_stalls, warm_field
 from plumetrack.scenario import bundled_scenario_names, parse_scenario
 
 PAPER_GRID = GridGeometry(nx=100, ny=50, h=5.0)
@@ -91,6 +92,51 @@ def test_warmup_rejects_non_finite_duration():
     f = init_field(PAPER_GRID, 0.0)
     with pytest.raises(ValueError, match="finite"):
         run_warmup(f, FlowSpec((1.0, 0.0)), NO_SOURCE, math.nan, dt=1.0)
+
+
+def test_warmup_whose_clock_stalls_raises_before_a_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("the warm-up took a step")
+
+    monkeypatch.setattr(field_module, "step", no_step)
+    f = init_field(GridGeometry(4, 3, 1.0), 0.0)
+    # 1e17 + 1.0 == 1e17; so is 2**53 + 1.0, a tie rounded to even
+    for duration in (1e17, 2.0**53 + 2):
+        with pytest.raises(ValueError, match="never ends"):
+            run_warmup(f, FlowSpec((1.0, 0.0)), NO_SOURCE, duration, dt=1.0)
+
+
+def test_clock_stalls_at_the_float_spacing():
+    assert not clock_stalls(2.0**53, 1.0)  # the integers below 2**53 are floats
+    assert clock_stalls(2.0**53 + 2, 1.0)
+    assert clock_stalls(1e17, 1.0) and not clock_stalls(1e17, 16.0)
+    assert not clock_stalls(0.0, 5e-324) and not clock_stalls(300.0, 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-1074, 1000),
+    st.integers(1, 64),
+    st.integers(-3, 3),
+    st.integers(1, 200),
+    st.floats(0.25, 4.0),
+)
+def test_a_clock_that_does_not_stall_reaches_its_target(exponent, back, shift, spacings, scale):
+    # start a few spacings below a power of two, where the spacing doubles,
+    # with dt near half a spacing either side of the power
+    edge = math.ldexp(1.0, exponent)
+    t = max(edge - back * math.ulp(edge) / 2, 0.0)
+    dt = math.ldexp(scale, shift) * math.ulp(edge) / 2
+    target = t + spacings * math.ulp(edge)
+    assume(t < target < math.inf and dt > 0)
+    if clock_stalls(target, dt):
+        return
+    for _ in range(4 * (back + spacings) + 8):
+        if not t < target:
+            break
+        assert t + dt > t
+        t += dt
+    assert not t < target
 
 
 def test_nan_concentration_rejected():

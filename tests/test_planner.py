@@ -553,6 +553,62 @@ def reversed_slice_p_hit(belief, cells, v_hat, params):
     return np.clip(params.detection_ceiling * sums, params.prob_clip, 1.0 - params.prob_clip)
 
 
+def flip_copy_anchored_sums(probs):
+    """_anchored_sums in its earlier form: suffix sums as flipped cumulative
+    sums of a flipped array, copied into the table one by one."""
+
+    def along(a, axis):
+        return np.cumsum(a, axis), a, np.flip(np.cumsum(np.flip(a, axis), axis), axis)
+
+    tables = np.empty((3, 3, *probs.shape))
+    for kx, by_column in enumerate(along(probs, 1)):
+        for ky, table in enumerate(along(by_column, 0)):
+            tables[ky, kx] = table
+    return tables
+
+
+def four_index_clamped_mass(tables, rows, cols):
+    """_clamped_mass in its earlier form: one fancy index with four arrays."""
+    (in_y, kind_y, read_y), (in_x, kind_x, read_x) = rows, cols
+    mass = tables[kind_y[:, :, None], kind_x[:, None, :], read_y[:, :, None], read_x[:, None, :]]
+    mass[~(in_y[:, :, None] & in_x[:, None, :])] = 0.0
+    return mass
+
+
+@st.composite
+def block_table_cases(draw):
+    """Beliefs on grids of 1x1 to 30x30 cells, flat, peaked (p**20) or a
+    point mass; radii 0, small and past the grid; a window around any cell,
+    whose candidates leave out the vehicle's own cell."""
+    nx, ny = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    h = draw(st.floats(0.1, 10.0).filter(lambda h: not h.is_integer()))
+    geom = GridGeometry(nx, ny, h, (draw(st.floats(-100.0, 100.0)), 0.5))
+    cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    p = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((ny, nx))
+    shape = draw(st.sampled_from(["flat", "peaked", "point mass"]))
+    if shape == "peaked":
+        p **= 20
+    elif shape == "point mass":
+        i, j = draw(cell)
+        p = np.zeros((ny, nx))
+        p[j, i] = 1.0
+    past = max(nx, ny)
+    params = PlannerParams(
+        window_cells=draw(st.sampled_from([3, 5, 7, 11])),
+        sigma2_hit=draw(st.floats(1e-2, 10.0)),
+        sigma2_miss=draw(st.floats(1e-2, 10.0)),
+        local_radius_cells=draw(st.sampled_from([0, 1, 2, 3, past, 2 * past + 1])),
+    )
+    usv_cell = draw(cell)
+    wind = draw(st.floats(0.0, 2.0 * math.pi))
+    ctx = MeasurementContext(
+        usv_pos=geom.cell_center(*usv_cell),
+        v_hat=(math.cos(wind), math.sin(wind)),
+        last_hit_pos=draw(st.one_of(st.none(), cell.map(lambda c: geom.cell_center(*c)))),
+    )
+    return GridBelief(geom, p / p.sum()), usv_cell, ctx, params
+
+
 class TestBatchedScoring:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -581,6 +637,35 @@ class TestBatchedScoring:
             assert got_p_hit == p_hit, cell
             # the tie tolerance of select_waypoint
             assert abs(got_ig - ig) <= 1e-12, (cell, got_ig, ig)
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_table_cases())
+    def test_block_tables_and_scores_equal_the_earlier_forms(self, case):
+        belief, usv_cell, ctx, params = case
+        geom = belief.geometry
+        tables = planner._anchored_sums(belief.probs)
+        assert tables.tobytes() == flip_copy_anchored_sums(belief.probs).tobytes()
+        cells = candidate_waypoints(geom, usv_cell, params)
+        if cells:
+            r = min(params.local_radius_cells, max(geom.nx, geom.ny))
+            ci, cj = np.array(cells).T
+            _, _, *cols = planner._block_axis(ci, r, geom.nx)
+            _, _, *rows = planner._block_axis(cj, r, geom.ny)
+            mass = planner._clamped_mass(tables, rows, cols)
+            assert mass.tobytes() == four_index_clamped_mass(tables, rows, cols).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "_anchored_sums", flip_copy_anchored_sums)
+            mp.setattr(planner, "_clamped_mass", four_index_clamped_mass)
+            mp.setattr(planner, "_hit_probabilities", reversed_slice_p_hit)
+            want = planner._score(belief, cells, ctx, params)
+        # a budget of one element scores a block the size of the grid, as a
+        # radius past it gives, one candidate per chunk
+        for budget in (planner._BLOCK_ELEMENTS, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(planner, "_BLOCK_ELEMENTS", budget)
+                got = planner._score(belief, cells, ctx, params)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
 
     def test_chunked_scores_match_one_pass(self, monkeypatch):
         # a radius past the grid makes every block the whole grid, so a

@@ -5,7 +5,9 @@ from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import plumetrack.field as field_module
 from plumetrack import (
     FlowSpec,
     GridGeometry,
@@ -340,17 +342,91 @@ def test_underflowing_cell_area_rejected_at_parse_time(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_zero_rate_rejected_without_a_threshold(tmp_path, capsys):
-    # auto-calibration would find an empty plume only when the mission starts
+def scenario_a_with(section, key, value):
     cfg = json.loads(resolve_scenario_path("scenario_a").read_text())
-    cfg["source"]["rate"] = 0
-    path = tmp_path / "no_release.json"
+    cfg[section][key] = value
+    return cfg
+
+
+# (section, key, value, key path named) of scenario_a files that warm up a
+# plume whose auto-calibrated threshold is 0, found only when the mission
+# starts: run exited 2 after validate said ok
+EMPTY_PLUMES = {
+    "warmup_s=0": ("sim", "warmup_s", 0.0, "sim.warmup_s"),
+    "rate=0": ("source", "rate", 0, "source.rate"),
+    # rate * dt / h**2 underflows to 0
+    "rate=5e-324": ("source", "rate", 5e-324, "source.rate"),
+    # the injection is 1e-322, but 1% of the plume's maximum underflows to 0
+    "rate=2.5e-321": ("source", "rate", 2.5e-321, "source.rate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_PLUMES))
+def test_empty_plume_rejected_at_parse_time(tmp_path, capsys, case):
+    section, key, value, key_path = EMPTY_PLUMES[case]
+    cfg = scenario_a_with(section, key, value)
+    path = tmp_path / "empty.json"
     path.write_text(json.dumps(cfg))
-    assert main(["validate", "--scenario", str(path)]) == 2
-    assert ": source.rate: " in capsys.readouterr().err
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--scenario", str(path)]) == 2
+        assert f": {key_path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a given threshold needs no plume to calibrate on
     cfg["sonde"]["threshold"] = 0.01
     path.write_text(json.dumps(cfg))
     assert main(["validate", "--scenario", str(path)]) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3000), st.floats(1e-3, 0.5), st.sampled_from([0.25, 0.5, 1.0]))
+def test_a_validated_auto_calibration_finds_a_plume(units, fraction, h):
+    # subnormal rates around the bound, where 1% of the plume underflowed
+    cfg = minimal_config(
+        workspace={"nx": 20, "ny": 10, "h": h},
+        source={"position": [0.5, 0.25], "rate": units * 5e-324},
+        usv={"start": [-1.0, -0.5]},
+        sonde={"threshold_fraction": fraction},
+        sim={"dt": 0.125, "warmup_s": 1.0},
+    )
+    try:
+        sc = scenario_from_dict(cfg)
+    except ScenarioError as exc:
+        assert str(exc).startswith("source.rate: ")
+        return
+    assert Mission(MissionGoal(sc)).threshold > 0
+
+
+@pytest.fixture
+def bounded_steps(monkeypatch):
+    """field.step that fails after a few calls, so a warm-up that would never
+    end fails instead of hanging."""
+    step, calls = field_module.step, []
+
+    def bounded(*args):
+        calls.append(1)
+        if len(calls) > 5:
+            raise AssertionError("the solver kept stepping")
+        return step(*args)
+
+    monkeypatch.setattr(field_module, "step", bounded)
+    return calls
+
+
+def test_stalled_clock_rejected_at_parse_time(tmp_path, capsys, bounded_steps):
+    # 1e17 + 1.0 == 1e17: the warm-up's clock stopped short of its target
+    path = tmp_path / "stalled.json"
+    path.write_text(json.dumps(scenario_a_with("sim", "warmup_s", 1e17)))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--scenario", str(path)]) == 2
+        assert ": sim.warmup_s: the clock stops short" in capsys.readouterr().err
+    out = tmp_path / "field.csv"
+    assert main(["field", "--scenario", "scenario_a", "--t", "1e17", "--out", str(out)]) == 2
+    assert "never ends" in capsys.readouterr().err
+    assert not bounded_steps and not out.exists() and not (tmp_path / "out").exists()
+    # the largest warm-up at dt = 1 whose clock still advances
+    scenario_from_dict(scenario_a_with("sim", "warmup_s", 2.0**53))
+    with pytest.raises(ScenarioError, match=r"^sim\.warmup_s: "):
+        scenario_from_dict(scenario_a_with("sim", "warmup_s", 2.0**53 + 2))
 
 
 class TestRoundTrip:
