@@ -225,6 +225,20 @@ def clock_stalls(until: float, dt: float) -> bool:
     return dt <= math.ulp(math.nextafter(until, 0.0)) / 2
 
 
+def peak_bound(source: SourceSpec, h: float, dt: float, duration: float) -> float:
+    """Bound on any cell's concentration after duration seconds of steps of
+    dt from an empty field, inf when it overflows. Within the stability bound
+    advection and diffusion make each cell a convex combination of the cells
+    before the step, so no cell exceeds the steps taken times the injection
+    per step, rate * dt / h**2. A clock that does not stall (clock_stalls)
+    advances by at least dt / 2 per step, so a warm-up and a mission, each
+    ending at most one step past its time, take 2 * duration / dt + 2 steps
+    at most.
+    """
+    injection = source.rate * dt / h**2
+    return injection * (2.0 * duration / dt + 2.0) if injection else 0.0
+
+
 def warm_field(
     geometry: GridGeometry, flow: FlowSpec, source: SourceSpec, duration: float, dt: float
 ) -> ScalarField:

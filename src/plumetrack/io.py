@@ -75,7 +75,7 @@ def write_trace_csv(path, entries):
     Each distinct scores tuple's "i,j,p_hit,ig," text is formatted once,
     keyed by identity (the entries keep the tuples alive), and reused at
     each of its steps: the same float through the same format is the same
-    bytes. A window the score memory returns again is the same tuple, so a
+    bytes. The mission's memo gives a window one tuple at all its steps, so a
     search that keeps one belief formats each window it revisits once.
     """
     bodies = {}

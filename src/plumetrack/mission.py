@@ -11,8 +11,9 @@ set from another thread.
 
 A miss before the first detection carries no information: the loop builds
 no likelihood for it and keeps the belief object, as bayes_update would for
-that constant likelihood. The point estimate and SCI widths are recomputed
-only when the belief is a different object from the one they describe.
+that constant likelihood. One memo holds the work done per belief: the point
+estimate, the SCI widths and the scores of each window planned from. It is
+renewed on a new belief object or a detection, the only time last_hit moves.
 
 Everything in the loop is deterministic for a fixed (scenario, seed): the
 random generator is consumed only by sensor noise, which defaults to off.
@@ -97,8 +98,8 @@ class MissionLog:
 
     trace is None unless the mission collects one; then it holds one
     (step, scores, waypoint_cell) entry per plan call, scores being the
-    (cells, ig, p_hit) tuple score_candidates returned. A remembered window
-    is the same tuple object at each of its steps.
+    (cells, ig, p_hit) tuple score_candidates returned. A window the memo
+    holds is the same tuple object at each of its steps.
     """
 
     trajectory: list = dc_field(default_factory=list)
@@ -138,7 +139,6 @@ class Mission:
         self.belief = uniform_belief(sc.geometry)
         self.position = sc.usv_start
         self.last_hit: tuple[float, float] | None = None
-        self._scores: dict = {}  # score_candidates' memory
         self._t0 = self.field.time
         self.updates_used = 0
 
@@ -178,7 +178,7 @@ class Mission:
 
         sc = self.goal.scenario
         out_of_time = False
-        summarized = None  # the belief object that estimate and widths describe
+        summarized = None  # the belief object that estimate, widths and windows describe
         while True:
             if self._cancel.is_set():
                 status = MissionStatus.CANCELED
@@ -211,9 +211,10 @@ class Mission:
                     )
             self.updates_used += 1
 
-            if self.belief is not summarized:
+            if self.belief is not summarized or reading.z:
                 summarized = self.belief
                 estimate, widths = point_estimate(summarized), sci_widths(summarized, sc.gamma)
+                windows = {}  # usv_cell -> score_candidates' (cells, ig, p_hit)
             fb = MissionFeedback(
                 step=self.updates_used,
                 sim_time_s=self.sim_time_s,
@@ -235,7 +236,9 @@ class Mission:
                 break
 
             usv_cell = sc.geometry.cell_of(self.position)
-            scores = score_candidates(self.belief, usv_cell, ctx, sc.planner, memory=self._scores)
+            if usv_cell not in windows:
+                windows[usv_cell] = score_candidates(self.belief, usv_cell, ctx, sc.planner)
+            scores = windows[usv_cell]
             waypoint_cell = select_waypoint(self.belief, usv_cell, ctx, sc.planner, scores=scores)
             if self.log.trace is not None:
                 self.log.trace.append((self.updates_used, scores, waypoint_cell))

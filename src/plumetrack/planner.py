@@ -41,16 +41,8 @@ max(2^16, nx * ny) elements, so a wide window or a radius past the grid cannot
 hold C * nx * ny numbers at once; the bundled scenarios fit one chunk. The
 scores are two float64 arrays, ig and p_hit, aligned with the list of
 candidate cells, so scoring and selection build no object per candidate.
-
-A mission passes score_candidates a memory of the windows it scored for its
-current belief. A window's scores depend only on the belief, the vehicle's
-cell, v_hat, last_hit_pos, the grid and the planner parameters. The memory
-holds the belief's probs array by reference and matches it by identity, with
-the rest of the key by equality, and returns the arrays _score returned, so a
-remembered window is the same bits as a fresh one. Before the first detection
-a miss is uninformative and bayes_update returns the prior itself, so the 100
-plan calls of the bundled upwind search keep one belief and score 11 windows.
-A tracking run's belief changes at every update, so there every lookup misses.
+score_candidates keeps nothing between calls; a mission keeps the windows
+it scored for its current belief (see the mission module).
 """
 
 from dataclasses import dataclass
@@ -262,30 +254,15 @@ def score_candidates(
     usv_cell: tuple[int, int],
     ctx: MeasurementContext,
     params: PlannerParams,
-    memory: dict | None = None,
 ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """(cells, ig, p_hit): the candidate_waypoints cells around usv_cell and
-    two float64 arrays holding each cell's gain and hit probability, in that
-    order.
-
-    memory, a dict the caller keeps (a mission keeps one), remembers the
-    windows scored for one belief and returns a remembered window as it was
-    scored (see the module docstring); another belief or key replaces its
-    contents. The arrays are read-only.
-    """
-    if memory is None:
-        memory = {}
-    key = (belief.geometry, ctx.v_hat, ctx.last_hit_pos, params)
-    if memory.get("probs") is not belief.probs or memory["key"] != key:
-        memory.update(probs=belief.probs, key=key, windows={})
-    windows = memory["windows"]
-    if usv_cell not in windows:
-        cells = candidate_waypoints(belief.geometry, usv_cell, params)
-        ig, p_hit = _score(belief, cells, ctx, params)
-        ig.setflags(write=False)
-        p_hit.setflags(write=False)
-        windows[usv_cell] = (cells, ig, p_hit)
-    return windows[usv_cell]
+    two read-only float64 arrays holding each cell's gain and hit
+    probability, in that order."""
+    cells = candidate_waypoints(belief.geometry, usv_cell, params)
+    ig, p_hit = _score(belief, cells, ctx, params)
+    ig.setflags(write=False)
+    p_hit.setflags(write=False)
+    return cells, ig, p_hit
 
 
 def select_waypoint(

@@ -39,7 +39,7 @@ import reprlib
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .field import FlowSpec, SourceSpec, clock_stalls, max_stable_dt
+from .field import FlowSpec, SourceSpec, clock_stalls, max_stable_dt, peak_bound
 from .grid import GridGeometry
 from .planner import PlannerParams
 
@@ -144,6 +144,12 @@ class Scenario:
             raise ScenarioError("sim.max_updates: must be >= 0")
         if not 0 <= self.max_sim_time_s < math.inf:
             raise ScenarioError("sim.max_sim_time_s: must be finite and >= 0")
+        duration = self.warmup_s + self.max_sim_time_s
+        if not peak_bound(self.source, self.geometry.h, self.dt, duration) < math.inf:
+            raise ScenarioError(
+                f"source.rate: {self.source.rate:g} injected every sim.dt into {self.geometry.h:g} "
+                f"m cells for sim.warmup_s + sim.max_sim_time_s = {duration:g} s could overflow"
+            )
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ScenarioError(f"seed: must be >= 0, got {self.seed}")
 

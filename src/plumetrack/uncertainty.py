@@ -48,37 +48,34 @@ def smallest_credible_interval(dist: MarginalDist, gamma: float) -> tuple[int, i
     """Shortest contiguous index interval holding at least gamma mass.
 
     Among intervals of the minimal length the one with the greatest mass
-    wins, and remaining ties go to the smallest lower index. Two-pointer
-    sweep over prefix sums, O(k). Prefix sums are taken in extended
-    precision so that boundary comparisons against gamma behave like exact
-    summation.
+    wins, and remaining ties go to the smallest lower index. Prefix sums are
+    taken in extended precision so that boundary comparisons against gamma
+    behave like exact summation. A window's mass prefix[i + L] - prefix[i]
+    never falls as L grows, in rounded arithmetic too, so the minimal length
+    is found by bisection on L, O(k log k).
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    p = dist.probs
-    k = p.size
+    k = dist.probs.size
     prefix = np.zeros(k + 1, dtype=np.longdouble)
-    np.cumsum(p.astype(np.longdouble), out=prefix[1:])
+    np.cumsum(dist.probs.astype(np.longdouble), out=prefix[1:])
     target = np.longdouble(gamma)
 
-    best: tuple[int, np.longdouble, int] | None = None  # (length, -mass, lower)
-    u = 0
-    for low in range(k):
-        if u < low:
-            u = low
-        while u < k and prefix[u + 1] - prefix[low] < target:
-            u += 1
-        if u == k:
-            break  # no interval starting at or after `low` reaches gamma
-        mass = prefix[u + 1] - prefix[low]
-        key = (u - low + 1, -mass, low)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        # gamma < 1 and the marginal sums to ~1, so full support always works
+    def masses(length):  # of the windows of this length, by lower index
+        return prefix[length:] - prefix[: k + 1 - length]
+
+    if prefix[k] < target:
+        # only a gamma within 1e-9 of 1 gets here: take the full support
         return 0, k - 1
-    length, _, low = best
-    return low, low + length - 1
+    short, long = 0, k  # no window of length short reaches gamma, one of long does
+    while long - short > 1:
+        mid = (short + long) // 2
+        if masses(mid).max() >= target:
+            long = mid
+        else:
+            short = mid
+    low = int(np.argmax(masses(long)))  # the heaviest, then the lowest
+    return low, low + long - 1
 
 
 def sci_widths(belief: GridBelief, gamma: float) -> tuple[float, float]:

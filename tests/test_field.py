@@ -16,7 +16,7 @@ from plumetrack import (
     step,
 )
 import plumetrack.field as field_module
-from plumetrack.field import ScalarField, _warmed, clock_stalls, warm_field
+from plumetrack.field import ScalarField, _warmed, clock_stalls, peak_bound, warm_field
 from plumetrack.scenario import bundled_scenario_names, parse_scenario
 
 PAPER_GRID = GridGeometry(nx=100, ny=50, h=5.0)
@@ -131,12 +131,43 @@ def test_a_clock_that_does_not_stall_reaches_its_target(exponent, back, shift, s
     assume(t < target < math.inf and dt > 0)
     if clock_stalls(target, dt):
         return
+    start, steps = t, 0
     for _ in range(4 * (back + spacings) + 8):
         if not t < target:
             break
         assert t + dt > t
         t += dt
+        steps += 1
     assert not t < target
+    # each step advances by at least dt / 2, as peak_bound counts them
+    assert steps <= 2 * (target - start) / dt + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from([0.25, 1.0, 5.0]),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.floats(0.0, 1.0),
+    st.sampled_from([1.0, 0.5, 0.1]),
+    st.floats(1e-3, 1e3),
+    st.integers(1, 40),
+)
+def test_no_cell_exceeds_the_peak_bound(nx, ny, h, v, lam, fraction, rate, steps):
+    # within the stability bound a step is a convex combination plus one
+    # injection, at its limit too
+    geom = GridGeometry(nx, ny, h)
+    flow = FlowSpec(v, lam)
+    dt = fraction * min(max_stable_dt(flow, geom), 10.0)
+    source = SourceSpec(geom.cell_center(nx // 2, ny // 2), rate)
+    field = run_warmup(init_field(geom), flow, source, steps * dt, dt)
+    assert field.values.max() <= peak_bound(source, h, dt, steps * dt) < math.inf
+
+
+def test_peak_bound_without_injection_is_zero():
+    # however many steps: their count overflows here
+    assert peak_bound(NO_SOURCE, 1.0, 5e-324, 1e300) == 0.0
 
 
 def test_nan_concentration_rejected():

@@ -15,6 +15,7 @@ from plumetrack import (
     parse_scenario,
     scenario_from_dict,
 )
+from plumetrack.belief import DegenerateUpdateError, MeasurementContext
 from plumetrack.cli import write_outputs
 
 
@@ -326,6 +327,40 @@ def test_upwind_search_traces_each_remembered_window_as_one_object():
     assert len({id(scores) for _, scores, _ in mission.log.trace}) <= 11
 
 
+class TestBeliefMemo:
+    """The mission scores each window once per belief object and last_hit."""
+
+    @pytest.mark.parametrize("name", ["small", "scenario_a"])
+    def test_a_detection_renews_the_windows_of_a_kept_belief(self, monkeypatch, name):
+        # every update is degenerate, so the belief object never changes, but
+        # a detection moves last_hit and with it the scores of every window
+        def degenerate(prior, likelihood):
+            raise DegenerateUpdateError("every update is degenerate")
+
+        monkeypatch.setattr(mission_module, "bayes_update", degenerate)
+        sc = small_scenario() if name == "small" else parse_scenario("scenario_a")
+        mission = Mission(MissionGoal.for_scenario(sc, max_updates=40), collect_trace=True)
+        start = mission.belief
+        mission.run()
+        assert mission.belief is start
+        trace, rows = mission.log.trace, mission.log.trajectory
+        assert len(trace) == 40 and any(row[4] for row in rows)
+        v_hat, last_hit, detections, held = sc.flow.direction(), None, 0, {}
+        for step, scores, _ in trace:
+            _, x, y, _, z, *_ = rows[step - 1]
+            if z:
+                last_hit, detections = (x, y), detections + 1
+            cell = sc.geometry.cell_of((x, y))
+            ctx = MeasurementContext((x, y), v_hat, last_hit)
+            cells, *want = planner.score_candidates(start, cell, ctx, sc.planner)
+            assert scores[0] == cells
+            for got, expected in zip(scores[1:], want):
+                assert got.tobytes() == expected.tobytes()
+            # one tuple per window between two detections, a new one after
+            assert held.setdefault((detections, cell), scores) is scores
+        assert len({id(scores) for _, scores, _ in trace}) == len(held)
+
+
 def test_untraced_mission_keeps_no_trace():
     mission = Mission(MissionGoal.for_scenario(small_scenario()))
     mission.run()
@@ -381,12 +416,20 @@ class TestSharedSpinUp:
             assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
     def test_a_warmup_that_raises_raises_again(self, monkeypatch):
-        # the injection of 4e306 kg/m^2 per step overflows the source cell
-        # within a minute of spin-up, and an exception is never cached
-        steps = self._counted_steps(monkeypatch)
-        goal = MissionGoal.for_scenario(
-            small_scenario(flow={"v": [0.01, 0.01]}, source={"rate": 1e308})
-        )
+        # every 30th solver step raises (the parser rejects a scenario whose
+        # injection could overflow, so the failure is injected), and an
+        # exception is never cached
+        field_module._warmed.cache_clear()
+        steps, step = [], field_module.step
+
+        def failing(*args):
+            steps.append(1)
+            if len(steps) % 30 == 0:
+                raise ValueError("source injection makes the source cell not finite")
+            return step(*args)
+
+        monkeypatch.setattr(field_module, "step", failing)
+        goal = MissionGoal.for_scenario(small_scenario(flow={"v": [0.01, 0.01]}))
         counts = []
         for _ in range(2):
             with pytest.raises(ValueError, match="not finite"):

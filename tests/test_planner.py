@@ -451,6 +451,15 @@ class TestScoreCandidates:
             assert scores.dtype == np.float64 and scores.shape == (len(cells),)
         assert np.all((0 < p_hit) & (p_hit < 1))
 
+    def test_returned_arrays_are_read_only(self):
+        geom = GridGeometry(10, 10, 1.0)
+        _, ig, p_hit = score_candidates(
+            uniform_belief(geom), (5, 5), _ctx(geom, (5, 5)), PlannerParams(window_cells=3)
+        )
+        assert not ig.flags.writeable and not p_hit.flags.writeable
+        with pytest.raises(ValueError):
+            ig[0] = 1.0
+
 
 def per_candidate_reference(belief, cand, ctx, params):
     """(p_hit, ig) of one candidate the direct way: both kernels on the full
@@ -699,71 +708,3 @@ class TestBatchedScoring:
         assert len(cells) == geom.k - 1
         # a few float arrays of one chunk's size: O(grid), far below 46 MB
         assert peak < 16 * 8 * max(planner._BLOCK_ELEMENTS, geom.k)
-
-
-class TestScoreMemory:
-    """score_candidates with a memory returns the bits of memory-less scoring."""
-
-    @staticmethod
-    def _counted_score(monkeypatch):
-        calls = []
-        score = planner._score
-
-        def counted(*args):
-            calls.append(args[1])
-            return score(*args)
-
-        monkeypatch.setattr(planner, "_score", counted)
-        return calls
-
-    def test_scores_equal_memoryless_scoring(self, monkeypatch):
-        geom = GridGeometry(12, 9, 2.5, (1.0, -3.0))
-        rng = np.random.default_rng(5)
-        probs = rng.random((9, 12))
-        belief = GridBelief(geom, probs / probs.sum())
-        # a new object with the same bits
-        copy = GridBelief(geom, belief.probs.copy())
-        probs = rng.random((9, 12))
-        other = GridBelief(geom, probs / probs.sum())
-        params = PlannerParams(window_cells=5, local_radius_cells=3)
-        hit = geom.cell_center(10, 1)
-        # (belief, cell, last_hit_pos, whether it is scored)
-        steps = [
-            (belief, (4, 4), None, True),
-            (belief, (4, 4), None, False),
-            (belief, (6, 3), None, True),
-            (belief, (4, 4), None, False),
-            (copy, (4, 4), None, True),
-            # the copy took the memory's one belief
-            (belief, (6, 3), None, True),
-            (belief, (6, 3), hit, True),
-            (belief, (6, 3), None, True),
-            (other, (6, 3), None, True),
-            (other, (6, 3), None, False),
-        ]
-        want = [
-            score_candidates(b, cell, _ctx(geom, cell, last_hit), params)
-            for b, cell, last_hit, _ in steps
-        ]
-        calls = self._counted_score(monkeypatch)
-        memory = {}
-        for (b, cell, last_hit, scored), (want_cells, *want_scores) in zip(steps, want):
-            before = len(calls)
-            cells, *scores = score_candidates(
-                b, cell, _ctx(geom, cell, last_hit), params, memory=memory
-            )
-            assert len(calls) - before == int(scored)
-            assert cells == want_cells
-            for got, expected in zip(scores, want_scores):
-                assert got.tobytes() == expected.tobytes()
-
-    def test_returned_arrays_are_read_only(self):
-        geom = GridGeometry(10, 10, 1.0)
-        belief = uniform_belief(geom)
-        params = PlannerParams(window_cells=3)
-        memory = {}
-        for _ in range(2):
-            _, ig, p_hit = score_candidates(belief, (5, 5), _ctx(geom, (5, 5)), params, memory)
-            assert not ig.flags.writeable and not p_hit.flags.writeable
-            with pytest.raises(ValueError):
-                ig[0] = 1.0

@@ -429,6 +429,33 @@ def test_stalled_clock_rejected_at_parse_time(tmp_path, capsys, bounded_steps):
         scenario_from_dict(scenario_a_with("sim", "warmup_s", 2.0**53 + 2))
 
 
+def overflowing_injection(rate):
+    """scenario_a on 1e-9 m cells with a near-still flow."""
+    cfg = json.loads(resolve_scenario_path("scenario_a").read_text())
+    cfg["workspace"].update(nx=20, ny=10, h=1e-9)
+    cfg["source"] = {"position": [0, 0], "rate": rate}
+    cfg["usv"]["start"] = [2e-9, 2e-9]
+    cfg["flow"] = {"v": [1e-20, 1e-20], "lambda": 0}
+    cfg["sim"].update(dt=1, warmup_s=10, max_sim_time_s=100)
+    return cfg
+
+
+# the injection per step, rate * dt / h**2, overflows at 1e300 and is 1e308
+# at 1e290, where the second step overflowed: validate said ok, and run
+# exited 2 with "source injection over dt=1.0 makes the source cell not finite"
+@pytest.mark.parametrize("rate", [1e300, 1e290])
+def test_overflowing_injection_rejected_at_parse_time(tmp_path, capsys, rate):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(overflowing_injection(rate)))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--scenario", str(path)]) == 2
+        assert ": source.rate: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # 110 s of injections of 1e298 stay finite, and such a mission runs
+    sc = scenario_from_dict(overflowing_injection(1e280))
+    assert isinstance(Mission(MissionGoal(sc)).run(), TrackResult)
+
+
 class TestRoundTrip:
     def test_round_trip_with_explicit_threshold_and_lambda(self):
         cfg = minimal_config()
