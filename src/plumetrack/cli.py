@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 from . import io
-from .field import init_field, run_warmup
+from .field import MAX_CELL_STEPS, cell_steps, init_field, run_warmup
 from .mission import Mission, MissionGoal, MissionStatus, TrackResult
 from .scenario import Scenario, ScenarioError, parse_scenario
 
@@ -152,6 +152,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_field(args) -> int:
     scenario = parse_scenario(args.scenario)
+    # a NaN passes, for run_warmup to reject
+    work = cell_steps(scenario.geometry, args.t, scenario.dt)
+    if work > MAX_CELL_STEPS:
+        raise ValueError(
+            f"--t: nx * ny * t / sim.dt = {work:.3g} cell-steps, more than the "
+            f"{MAX_CELL_STEPS:.0e} a field export may take"
+        )
     field = init_field(scenario.geometry, 0.0)
     field = run_warmup(field, scenario.flow, scenario.source, args.t, scenario.dt)
     out = Path(args.out)

@@ -17,7 +17,15 @@ an outflow wall.
 
 A step works on the raveled grid, one contiguous shift per flux difference,
 and does the 2D flux form's operations in its order, so it is bitwise equal
-to it. Its temporaries are per-thread scratch reused across steps.
+to it. Its temporaries are per-thread scratch reused across steps. One call
+can take several steps, as a mission's travel leg does: it checks dt, the
+stability bound and dt / h, finds the source cell and builds its flux views
+once per call, checks the injected source cell on every step, and checks
+non-negativity once, on the returned field. A NaN formed by an earlier step
+still fails that check, since it stays NaN through every later step. Its
+steps alternate between the returned array and one more per-thread array,
+so only the returned array is new, and the result is bitwise equal to one
+call per step.
 
 The spin-up is deterministic, so warm_field keeps the last few warmed-up
 fields, read-only, and missions of an equal scenario in one process share
@@ -87,7 +95,7 @@ class ScalarField:
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.geometry.ny}, {self.geometry.nx})"
             )
-        # one reduction per step; written so that a NaN fails it
+        # one reduction per solver call; written so that a NaN fails it
         if not self.values.min() >= 0:
             raise ValueError("concentration values must be non-negative")
 
@@ -115,15 +123,28 @@ def max_stable_dt(flow: FlowSpec, geometry: GridGeometry) -> float:
     return min(dt_adv, dt_diff)
 
 
-def step(field: ScalarField, flow: FlowSpec, source: SourceSpec, dt: float) -> ScalarField:
-    """Advance the field by one explicit time step of length dt.
+def step(
+    field: ScalarField, flow: FlowSpec, source: SourceSpec, dt: float, steps: int = 1
+) -> ScalarField:
+    """Advance the field by `steps` explicit time steps of length dt.
 
-    Upwind advection, then central diffusion, then injection of
-    source.rate * dt / h^2 into the cell containing the source. Raises if dt
-    is not finite and positive or exceeds the stability bound, and, where a
-    velocity or diffusivity at the float underflow limit lets the bound near
-    the largest float, if dt / h or the source cell would not be finite.
+    Each step is upwind advection, then central diffusion, then injection of
+    source.rate * dt / h^2 into the cell containing the source. The result,
+    values and time, is bitwise equal to that of `steps` chained one-step
+    calls, and so is any ValueError raised.
+
+    Once per call, before any step: steps >= 1, dt finite and positive and
+    within the stability bound, and, where a velocity or diffusivity at the
+    float underflow limit lets the bound near the largest float, dt / h
+    finite. On every step: the source cell after injection is finite. Once,
+    on the returned field: ScalarField's non-negativity check. A NaN that
+    forms mid-call still fails that one min() check, because a NaN cell stays
+    NaN through every later step's arithmetic and through np.maximum; where
+    it reaches the source cell first, the injection check reports it as the
+    non-negativity failure a chained call raises at the step that made it.
     """
+    if not steps >= 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     bound = max_stable_dt(flow, field.geometry)
@@ -136,67 +157,91 @@ def step(field: ScalarField, flow: FlowSpec, source: SourceSpec, dt: float) -> S
     if not s < math.inf:
         raise ValueError(f"dt / h = {dt} / {h} is not a finite float")
     lam = flow.diffusivity
-    c = field.values.reshape(n)
     out = np.empty(n)
-    scratch, delta, faces = _scratch(n, nx)
-    # substeps chain without copies; diffusion reads `adv` while writing `out`
-    dest = scratch if lam > 0 else out
-    adv = c
+    scratch, delta, faces, spare = _scratch(n, nx)
+    source_cell = geom.flat_index(*geom.cell_of(source.position)) if source.rate > 0 else None
+    injection = source.rate * dt / h**2
 
     # Face k of an axis with cell stride t lies between cells k - t and k, so
     # a flux difference is f[t:] - f[:-t]. Along x the face between two rows
-    # is the right wall of one and the left wall of the next.
+    # is the right wall of one and the left wall of the next. Per moving
+    # axis: the upwind flux p (p[k] leaves cell k), the zero-gradient ghosts
+    # with the wall cells' fluxes they copy, the difference's operands, and
+    # for x an inflow wall's fluxes and differences.
+    advection = []
     for axis, (t, v) in enumerate(zip((1, nx), flow.v)):
         if v == 0.0:
             continue
         f = faces[: n + t]
-        p = f[t:] if v > 0 else f[:n]  # p[k]: the upwind flux leaving cell k
-        np.multiply(c, v, out=p)
-        f[:t], f[n:] = p[:t], p[n - t :]  # zero-gradient ghosts: the wall cells' flux
-        np.subtract(f[t:], f[:n], out=delta)
+        p = f[t:] if v > 0 else f[:n]
+        inflow = None
         if axis == 0:
-            # an inflow wall's zero-gradient ghost gives its cell one flux in
-            # and out; a shared face holds the other row's outflow flux
             wall = slice(0, n, nx) if v > 0 else slice(nx - 1, n, nx)
-            np.subtract(p[wall], p[wall], out=delta[wall])
-        adv = np.subtract(adv, np.multiply(delta, s, out=delta), out=dest)
-
-    res = adv
+            inflow = (p[wall], delta[wall])
+        advection.append((v, p, (f[:t], p[:t]), (f[n:], p[n - t :]), f[t:], f[:n], inflow))
+    # per axis when diffusing: the inner faces, the wall faces, the operands
+    diffusion = []
     if lam > 0:
         for axis, t in enumerate((1, nx)):
             f = faces[: n + t]
-            inner = f[t:n]
+            walls = (f[::nx],) if axis == 0 else (f[:nx], f[n:])
+            diffusion.append((t, f[t:n], walls, f[t:], f[:n]))
+
+    c = field.values.reshape(n)
+    time = field.time
+    for i in range(steps):
+        # the steps' results alternate between `spare` and `out`, ending in
+        # `out`, so no step writes the field it reads
+        dst = out if (steps - i) % 2 else spare
+        # substeps chain without copies; diffusion reads `adv` while writing `dst`
+        dest = scratch if lam > 0 else dst
+        adv = c
+        for v, p, (ghost0, flux0), (ghost1, flux1), upper, lower, inflow in advection:
+            np.multiply(c, v, out=p)
+            ghost0[...] = flux0
+            ghost1[...] = flux1
+            np.subtract(upper, lower, out=delta)
+            if inflow:
+                # an inflow wall's zero-gradient ghost gives its cell one flux
+                # in and out; a shared face holds the other row's outflow flux
+                np.subtract(inflow[0], inflow[0], out=inflow[1])
+            adv = np.subtract(adv, np.multiply(delta, s, out=delta), out=dest)
+
+        res = adv
+        for t, inner, walls, upper, lower in diffusion:
             np.subtract(adv[t:], adv[: n - t], out=inner)
             np.multiply(inner, -lam, out=inner)
             np.divide(inner, h, out=inner)
             # wall faces are assigned, as -lam * 0.0 would be -0.0
-            if axis == 0:
-                f[::nx] = 0.0
-            else:
-                f[:nx] = f[n:] = 0.0
-            np.subtract(f[t:], f[:n], out=delta)
-            res = np.subtract(res, np.multiply(delta, s, out=delta), out=out)
+            for w in walls:
+                w.fill(0.0)
+            np.subtract(upper, lower, out=delta)
+            res = np.subtract(res, np.multiply(delta, s, out=delta), out=dst)
 
-    # flux differencing can leave ulp-scale negatives at the exact CFL limit
-    np.maximum(res, 0.0, out=out)
-    if source.rate > 0:
-        k = geom.flat_index(*geom.cell_of(source.position))
-        # Python float arithmetic: an overflow gives inf, not a warning
-        injected = float(out[k]) + source.rate * dt / h**2
-        if not injected < math.inf:
-            raise ValueError(f"source injection over dt={dt} makes the source cell not finite")
-        out[k] = injected
-    return ScalarField(geom, out.reshape(geom.ny, nx), field.time + dt)
+        # flux differencing can leave ulp-scale negatives at the exact CFL limit
+        np.maximum(res, 0.0, out=dst)
+        if source_cell is not None:
+            # Python float arithmetic: an overflow gives inf, not a warning
+            injected = float(dst[source_cell]) + injection
+            if not injected < math.inf:
+                if i:  # the previous step's field raises for a NaN it holds
+                    ScalarField(geom, c.reshape(geom.ny, nx))
+                raise ValueError(f"source injection over dt={dt} makes the source cell not finite")
+            dst[source_cell] = injected
+        c = dst
+        time += dt
+    return ScalarField(geom, out.reshape(geom.ny, nx), time)
 
 
 _local = threading.local()
 
 
 def _scratch(n, nx):
-    """This thread's two n-cell arrays and (n + nx)-face array, reused across steps."""
+    """This thread's two n-cell arrays, (n + nx)-face array and n-cell array
+    for the fields between a call's steps, reused across calls."""
     buf = getattr(_local, "buf", None)
     if buf is None or buf[0].size != n or buf[2].size != n + nx:
-        buf = _local.buf = (np.empty(n), np.empty(n), np.empty(n + nx))
+        buf = _local.buf = (np.empty(n), np.empty(n), np.empty(n + nx), np.empty(n))
     return buf
 
 
@@ -237,6 +282,18 @@ def peak_bound(source: SourceSpec, h: float, dt: float, duration: float) -> floa
     """
     injection = source.rate * dt / h**2
     return injection * (2.0 * duration / dt + 2.0) if injection else 0.0
+
+
+# The most cell-steps (grid cells times solver steps) that a scenario's
+# warm-up and mission, or a field export, may take: at the solver's 20-30 ns
+# per cell-step, about half a minute.
+MAX_CELL_STEPS = 1e9
+
+
+def cell_steps(geometry: GridGeometry, duration: float, dt: float) -> float:
+    """nx * ny * duration / dt, the cell-steps of stepping a field on the
+    grid for duration seconds; inf where the product overflows."""
+    return float(geometry.nx) * geometry.ny * duration / dt
 
 
 def warm_field(

@@ -40,7 +40,12 @@ from .belief import (
     uniform_belief,
 )
 # init_field and run_warmup stay bound here: an outside-in tracer that wraps
-# this module's names (perfbench/layers.py) expects them
+# this module's names (perfbench/layers.py) expects them. A travel leg steps
+# the field in one call through the name field_step, which that tracer times
+# as the field layer and divides by the cell-steps it saw; without it a traced
+# mission would count no solver cells. run_warmup keeps one step call per
+# step, since the tracer counts a spin-up's solver steps by wrapping
+# field.step.
 from .field import init_field, run_warmup, step as field_step, warm_field  # noqa: F401
 from .planner import score_candidates, select_waypoint
 from .scenario import Scenario
@@ -264,24 +269,36 @@ class Mission:
         return self._result
 
     def _travel(self, waypoint) -> bool:
-        """Step the field by dt and move the vehicle usv_speed * dt per step
-        until arrival.
+        """Move the vehicle usv_speed * dt per step until arrival, then step
+        the field as many times in one call.
 
-        In continuous measure mode the leg is interrupted once sample_period
-        elapses, so the next reading happens en route. Returns False, leaving
-        the vehicle short of the waypoint, when the next step would take the
-        mission past max_sim_time_s.
+        The leg runs on a local clock, t += dt per step, which gives the
+        floats field.time takes, and checks the waypoint against the
+        workspace on its first move only. In continuous measure mode the leg
+        is interrupted once sample_period elapses, so the next reading
+        happens en route. Returns False, leaving the vehicle short of the
+        waypoint, when the next step would take the mission past
+        max_sim_time_s.
         """
         sc = self.goal.scenario
         reach = sc.usv_speed * sc.dt
+        target = tuple(waypoint)
+        geometry = sc.geometry
+        t = self.field.time
         elapsed = 0.0
-        while self.position != tuple(waypoint):
-            if self.field.time + sc.dt - self._t0 > sc.max_sim_time_s:
-                return False
-            self.position = advance_towards(self.position, waypoint, reach, sc.geometry)
-            self.field = field_step(self.field, sc.flow, sc.source, sc.dt)
+        steps = 0
+        in_time = True
+        while self.position != target:
+            if t + sc.dt - self._t0 > sc.max_sim_time_s:
+                in_time = False
+                break
+            self.position = advance_towards(self.position, waypoint, reach, geometry)
+            geometry = None
+            t += sc.dt
             elapsed += sc.dt
+            steps += 1
             if sc.measure_mode == "continuous" and elapsed + 1e-9 >= sc.sonde_sample_period:
                 break
-        return True
-
+        if steps:
+            self.field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
+        return in_time

@@ -39,7 +39,15 @@ import reprlib
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .field import FlowSpec, SourceSpec, clock_stalls, max_stable_dt, peak_bound
+from .field import (
+    MAX_CELL_STEPS,
+    FlowSpec,
+    SourceSpec,
+    cell_steps,
+    clock_stalls,
+    max_stable_dt,
+    peak_bound,
+)
 from .grid import GridGeometry
 from .planner import PlannerParams
 
@@ -145,6 +153,13 @@ class Scenario:
         if not 0 <= self.max_sim_time_s < math.inf:
             raise ScenarioError("sim.max_sim_time_s: must be finite and >= 0")
         duration = self.warmup_s + self.max_sim_time_s
+        work = cell_steps(self.geometry, duration, self.dt)
+        if not work <= MAX_CELL_STEPS:
+            raise ScenarioError(
+                f"sim.dt: {self.dt:g} s steps make nx * ny * (sim.warmup_s + "
+                f"sim.max_sim_time_s) / sim.dt = {work:.3g} cell-steps, more than "
+                f"the {MAX_CELL_STEPS:.0e} a run may take"
+            )
         if not peak_bound(self.source, self.geometry.h, self.dt, duration) < math.inf:
             raise ScenarioError(
                 f"source.rate: {self.source.rate:g} injected every sim.dt into {self.geometry.h:g} "

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import plumetrack.field as field_module
 from plumetrack import GridGeometry, Mission, MissionGoal, parse_scenario
 from plumetrack.cli import main, write_outputs
 from plumetrack.io import (
@@ -249,6 +250,19 @@ class TestFieldCommand:
         assert not out.exists()
 
 
+    def test_too_many_cell_steps_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # 5000 cells * 1e6 s / 1 s: 5e9 cell-steps, rejected before a step
+        monkeypatch.setattr(field_module, "step", None)
+        out = tmp_path / "snap.csv"
+        assert main(["field", "--scenario", "scenario_a", "--t", "1e6", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: --t: nx * ny * t / sim.dt = 5e+09 cell-steps, more than the 1e+09 "
+            "a field export may take"
+        ]
+        assert not out.exists()
+
+
 class TestJsonWriter:
     def test_nine_significant_digits(self):
         assert fmt_float(math.pi) == "3.14159265"
@@ -334,11 +348,14 @@ class TestCsvWriters:
         assert (tmp_path / "ours.csv").read_bytes() == expected
 
 
-@pytest.mark.parametrize("command", [["run"], ["batch", "--trials", "1"], ["field", "--t", "1"]])
+@pytest.mark.parametrize("command", [["run"], ["batch", "--trials", "1"], ["field", "--t", "0"]])
 def test_grid_too_large_to_allocate_is_a_usage_error(command, tmp_path, capsys):
-    # 10^16 cells pass validation, but their first array exceeds any address space
+    # 10^16 cells pass validation, but their first array exceeds any address
+    # space; zero durations keep them inside the cell-step bound
     cfg = json.loads(resolve_scenario_path("scenario_a").read_text())
     cfg["workspace"].update(nx=100_000_000, ny=100_000_000)
+    cfg["sim"].update(warmup_s=0.0, max_sim_time_s=0.0)
+    cfg["sonde"]["threshold"] = 0.01
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(cfg))
     assert main(["validate", "--scenario", str(path)]) == 0

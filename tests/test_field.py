@@ -499,6 +499,66 @@ class TestRaveledStep:
             assert field.values.min() >= 0.0
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(step_cases(), st.integers(1, 9))
+    @example(FLOAT_LIMIT_CASES[0], 1)
+    @example(FLOAT_LIMIT_CASES[0], 9)
+    @example(FLOAT_LIMIT_CASES[1], 1)
+    @example(FLOAT_LIMIT_CASES[1], 9)
+    @example(FLOAT_LIMIT_CASES[2], 1)
+    @example(FLOAT_LIMIT_CASES[2], 9)
+    def test_steps_in_one_call_equal_chained_steps(self, case, steps):
+        field, flow, source, dt = case
+        before = field.values.tobytes()
+        chained, error = field, None
+        try:
+            for _ in range(steps):
+                chained = step(chained, flow, source, dt)
+        except ValueError as exc:
+            error = str(exc)
+        if error is None:
+            stepped = step(field, flow, source, dt, steps)
+            assert stepped.values.tobytes() == chained.values.tobytes()
+            assert stepped.time == chained.time
+        else:
+            with pytest.raises(ValueError) as raised:
+                step(field, flow, source, dt, steps)
+            assert str(raised.value) == error
+        assert field.values.tobytes() == before
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
+    def test_a_nan_formed_mid_call_raises_as_chained_steps_do(self, steps):
+        # an infinite inflow cell makes a NaN there on the first step, which
+        # a chained call rejects at once; in one call the NaN drifts one cell
+        # a step and reaches the source cell's injection on the third
+        geom = GridGeometry(5, 1, 1.0)
+        flow, source = FlowSpec((1.0, 0.0)), SourceSpec(geom.cell_center(3, 0), 1.0)
+        field = ScalarField(geom, np.array([[np.inf, 0.0, 0.0, 0.0, 0.0]]))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="^concentration values must be non-negative$"):
+                step(field, flow, source, 1.0)
+            with pytest.raises(ValueError, match="^concentration values must be non-negative$"):
+                step(field, flow, source, 1.0, steps)
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_a_leg_from_the_read_only_warm_field(self, name):
+        sc = parse_scenario(name)
+        warm = warm_field(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)
+        cached = warm.values.tobytes()
+        chained = warm
+        for steps in range(1, 10):
+            chained = step(chained, sc.flow, sc.source, sc.dt)
+            stepped = step(warm, sc.flow, sc.source, sc.dt, steps)
+            assert stepped.values.tobytes() == chained.values.tobytes()
+            assert stepped.time == chained.time
+        assert not warm.values.flags.writeable and warm.values.tobytes() == cached
+
+    def test_steps_below_one_raise(self):
+        field = init_field(GridGeometry(3, 2, 1.0))
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            step(field, FlowSpec((1.0, 0.0)), NO_SOURCE, 0.5, 0)
+
+
 class TestWarmField:
     """warm_field: the fields of run_warmup, spun up once per process."""
 

@@ -17,6 +17,8 @@ from plumetrack import (
 )
 from plumetrack.belief import DegenerateUpdateError, MeasurementContext
 from plumetrack.cli import write_outputs
+from plumetrack.field import step
+from plumetrack.vehicle import advance_towards
 
 
 def small_scenario(**overrides):
@@ -365,6 +367,46 @@ def test_untraced_mission_keeps_no_trace():
     mission = Mission(MissionGoal.for_scenario(small_scenario()))
     mission.run()
     assert mission.log.trace is None
+
+
+def _reference_travel(sc, field, position, t0, waypoint):
+    """A leg stepped once per dt: the vehicle moves and the field steps
+    together until arrival, the sample period or the time budget."""
+    reach = sc.usv_speed * sc.dt
+    elapsed = 0.0
+    while position != tuple(waypoint):
+        if field.time + sc.dt - t0 > sc.max_sim_time_s:
+            return False, position, field
+        position = advance_towards(position, waypoint, reach, sc.geometry)
+        field = step(field, sc.flow, sc.source, sc.dt)
+        elapsed += sc.dt
+        if sc.measure_mode == "continuous" and elapsed + 1e-9 >= sc.sonde_sample_period:
+            break
+    return True, position, field
+
+
+@pytest.mark.parametrize(
+    "mode, budget", [("on_arrival", 3600.0), ("continuous", 3600.0), ("on_arrival", 40.0)]
+)
+def test_a_travel_leg_equals_stepping_once_per_dt(mode, budget):
+    # dt = 0.3 s sums inexactly (0.3 + 0.3 + 0.3 != 0.9), so each leg's time
+    # must be the per-step sum; continuous legs end after 4 steps at the 1 s period
+    sc = small_scenario(
+        sonde={"measure_mode": mode}, sim={"dt": 0.3, "max_sim_time_s": budget}
+    )
+    mission = Mission(MissionGoal(sc))
+    corners = [(0, 0), (29, 19), (29, 0), (0, 19), (15, 10)]
+    for waypoint in [sc.geometry.cell_center(i, j) for i, j in corners]:
+        expected = _reference_travel(
+            sc, mission.field, mission.position, mission._t0, waypoint
+        )
+        in_time = mission._travel(waypoint)
+        assert (in_time, mission.position) == expected[:2]
+        assert mission.field.time == expected[2].time
+        assert mission.field.values.tobytes() == expected[2].values.tobytes()
+    # the cut leg stopped short, and no later leg stepped past the budget
+    if budget < 3600.0:
+        assert not in_time and mission.sim_time_s <= budget
 
 
 class TestSharedSpinUp:

@@ -419,14 +419,46 @@ def test_stalled_clock_rejected_at_parse_time(tmp_path, capsys, bounded_steps):
     for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
         assert main([*command, "--scenario", str(path)]) == 2
         assert ": sim.warmup_s: the clock stops short" in capsys.readouterr().err
+    # a clock that stalls takes t / dt >= 2**53 steps, so the field export's
+    # cell-step bound rejects it first; run_warmup's own check is in test_field
     out = tmp_path / "field.csv"
     assert main(["field", "--scenario", "scenario_a", "--t", "1e17", "--out", str(out)]) == 2
-    assert "never ends" in capsys.readouterr().err
+    assert "error: --t: " in capsys.readouterr().err
     assert not bounded_steps and not out.exists() and not (tmp_path / "out").exists()
-    # the largest warm-up at dt = 1 whose clock still advances
-    scenario_from_dict(scenario_a_with("sim", "warmup_s", 2.0**53))
+    # the largest warm-up at dt = 1 whose clock still advances passes the
+    # stall check, and the cell-step bound rejects it
+    with pytest.raises(ScenarioError, match=r"^sim\.dt: "):
+        scenario_from_dict(scenario_a_with("sim", "warmup_s", 2.0**53))
     with pytest.raises(ScenarioError, match=r"^sim\.warmup_s: "):
         scenario_from_dict(scenario_a_with("sim", "warmup_s", 2.0**53 + 2))
+
+
+def test_too_many_cell_steps_rejected_at_parse_time(tmp_path, capsys, bounded_steps):
+    # sim.dt: 1e-9 on scenario_a: 5000 cells * 3900 s / 1e-9 s is 1.95e16
+    # cell-steps, a warm-up of 3e11 steps
+    path = tmp_path / "tiny_dt.json"
+    path.write_text(json.dumps(scenario_a_with("sim", "dt", 1e-9)))
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ": sim.dt: " in err and "= 1.95e+16 cell-steps" in err
+    assert not bounded_steps and not (tmp_path / "out").exists()
+    # 5000 cells * (0 + 2e5 s) / 1 s is the bound itself
+    cfg = scenario_a_with("sim", "warmup_s", 0.0)
+    cfg["sonde"]["threshold"] = 0.01
+    cfg["sim"]["max_sim_time_s"] = 2e5
+    scenario_from_dict(cfg)
+    cfg["sim"]["max_sim_time_s"] = 200001.0
+    with pytest.raises(ScenarioError, match=r"^sim\.dt: .* = 1e\+09 cell-steps"):
+        scenario_from_dict(cfg)
+
+
+def test_the_benchmark_spin_up_grid_is_inside_the_cell_step_bound():
+    # 200x100 cells of 2.5 m: 20000 * 3900 s / 1 s = 7.8e7 cell-steps
+    cfg = json.loads(resolve_scenario_path("scenario_a").read_text())
+    cfg["workspace"].update(nx=200, ny=100, h=2.5)
+    sc = scenario_from_dict(cfg)
+    assert field_module.cell_steps(sc.geometry, sc.warmup_s + sc.max_sim_time_s, sc.dt) == 7.8e7
 
 
 def overflowing_injection(rate):
