@@ -19,9 +19,12 @@ the vehicle's cell clipped to the grid, by the same batched block kernels the
 planner scores with, and edge-extended to the whole grid by index clamp:
 every cell outside the block inherits the weight of the nearest covered cell.
 Posterior updates are plain Bayes products followed by normalization; a
-constant likelihood returns the prior itself. A likelihood that leaves no
-posterior mass, all-zero weights included, raises DegenerateUpdateError, and
-the mission keeps its prior.
+constant likelihood returns the prior itself. Where the products' total is
+so small that their rounding could reach the posterior, as with subnormal
+weights, the products are taken again from weights scaled up by an exact
+power of two (weighted_mass): the posterior does not depend on that scale.
+A likelihood that leaves no posterior mass, all-zero weights included,
+raises DegenerateUpdateError, and the mission keeps its prior.
 
 The kernel parameters sigma2_hit, sigma2_miss and local_radius_cells live on
 planner.PlannerParams (the scenario's `planner` section): the mission's
@@ -204,6 +207,35 @@ def miss_likelihood(
     return _block_likelihood(miss_block_weights, ctx, geometry, params, *args)
 
 
+# A sum of products at or above this is 2**175 times the most that rounding
+# can take from one product, 2**-1075.
+_RESCALE_BELOW = 2.0**-900
+
+
+def weighted_mass(mass: np.ndarray, weights: np.ndarray, axis=None):
+    """(mass * weights, its sum along axis with kept dimensions), a posterior
+    before normalization.
+
+    Where a sum falls below 2**-900, the products are taken again with the
+    weights of the cells holding mass scaled up by the power of two that
+    brings their largest into [1, 2). The other weights, which could exceed
+    those by more than the float range, are set to 0. The scaling is exact
+    and the posterior does not depend on it, while unscaled a product with a
+    subnormal weight rounds to a few bits or to 0: masses 1/3 and 2/3 times
+    equal weights of 6.4e-323 gave 2e-323 and 4.4e-323.
+    """
+    post = mass * weights
+    total = post.sum(axis=axis, keepdims=True)
+    low = total < _RESCALE_BELOW
+    if low.any():
+        live = np.where(mass > 0, weights, 0.0)
+        _, exponent = np.frexp(live.max(axis=axis, keepdims=True))
+        scaled = mass * np.ldexp(live, np.maximum(1 - exponent, 0))
+        post = np.where(low, scaled, post)
+        total = post.sum(axis=axis, keepdims=True)
+    return post, total
+
+
 def bayes_update(belief: GridBelief, like: LikelihoodField) -> GridBelief:
     """Posterior proportional to prior times likelihood, renormalized.
 
@@ -217,8 +249,8 @@ def bayes_update(belief: GridBelief, like: LikelihoodField) -> GridBelief:
     lowest = like.weights.min()
     if lowest > 0 and lowest == like.weights.max():
         return belief
-    post = belief.probs * like.weights
-    total = float(post.sum())
+    post, total = weighted_mass(belief.probs, like.weights)
+    total = total.item()
     if total <= 0.0:
         raise DegenerateUpdateError("likelihood leaves zero posterior mass")
     return GridBelief(belief.geometry, post / total)

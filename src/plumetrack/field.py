@@ -57,8 +57,10 @@ class FlowSpec:
 
     def direction(self) -> tuple[float, float]:
         """v / |v|, the kernels' v_hat. Raises when |v| is zero or so near the
-        underflow limit that the quotient fails MeasurementContext's unit test."""
-        speed = float(np.hypot(*self.v))
+        underflow limit that the quotient fails MeasurementContext's unit test,
+        and when it overflows to inf, which makes the quotient zero."""
+        with np.errstate(over="ignore"):
+            speed = float(np.hypot(*self.v))
         if speed > 0:
             v_hat = (self.v[0] / speed, self.v[1] / speed)
             if abs(float(np.hypot(*v_hat)) - 1.0) <= 1e-6:

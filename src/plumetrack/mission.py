@@ -15,6 +15,13 @@ that constant likelihood. One memo holds the work done per belief: the point
 estimate, the SCI widths and the scores of each window planned from. It is
 renewed on a new belief object or a detection, the only time last_hit moves.
 
+The plume's flow and release are constant, and a stepped plume can become
+exactly periodic, bit for bit. After each stepped leg the mission compares
+the field's bits with an anchor leg end that moves by Brent's powers of two.
+Once it finds the period, and one period of fields fits CYCLE_TABLE_CELLS,
+it records that period and serves each later leg from it: the same bits and
+times as stepping, and the field's values are then shared and read-only.
+
 Everything in the loop is deterministic for a fixed (scenario, seed): the
 random generator is consumed only by sensor noise, which defaults to off.
 
@@ -41,18 +48,23 @@ from .belief import (
 )
 # init_field and run_warmup stay bound here: an outside-in tracer that wraps
 # this module's names (perfbench/layers.py) expects them. A travel leg steps
-# the field in one call through the name field_step, which that tracer times
-# as the field layer and divides by the cell-steps it saw; without it a traced
-# mission would count no solver cells. run_warmup keeps one step call per
+# the field in one call, and a plume period is recorded by single steps,
+# through the name field_step, which that tracer times as the field layer and
+# divides by the cell-steps it saw; without it a traced mission would count
+# no solver cells. run_warmup keeps one step call per
 # step, since the tracer counts a spin-up's solver steps by wrapping
 # field.step.
-from .field import init_field, run_warmup, step as field_step, warm_field  # noqa: F401
+from .field import ScalarField, init_field, run_warmup, step as field_step, warm_field  # noqa: F401
 from .planner import score_candidates, select_waypoint
 from .scenario import Scenario
 from .uncertainty import sci_widths, termination_check
 from .vehicle import advance_towards, take_reading
 
 logger = logging.getLogger(__name__)
+
+# The most cells a mission's table of one plume period may hold: 2**17
+# float64 cells, 1 MiB.
+CYCLE_TABLE_CELLS = 2**17
 
 
 class MissionStatus(enum.Enum):
@@ -146,6 +158,14 @@ class Mission:
         self.last_hit: tuple[float, float] | None = None
         self._t0 = self.field.time
         self.updates_used = 0
+        # Brent's cycle search over the leg-end fields: the anchor, the legs
+        # and solver steps since it, and the legs after which it moves on;
+        # then the fields of one period and the current one's index
+        self._anchor = self.field.values
+        self._legs = self._since = 0
+        self._power = 1
+        self._cycle: list | None = None
+        self._phase = 0
 
     # -- action surface ----------------------------------------------------
 
@@ -269,8 +289,8 @@ class Mission:
         return self._result
 
     def _travel(self, waypoint) -> bool:
-        """Move the vehicle usv_speed * dt per step until arrival, then step
-        the field as many times in one call.
+        """Move the vehicle usv_speed * dt per step until arrival, then
+        advance the field as many steps (_advance).
 
         The leg runs on a local clock, t += dt per step, which gives the
         floats field.time takes, and checks the waypoint against the
@@ -300,5 +320,53 @@ class Mission:
             if sc.measure_mode == "continuous" and elapsed + 1e-9 >= sc.sonde_sample_period:
                 break
         if steps:
-            self.field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
+            self.field = self._advance(steps, t)
         return in_time
+
+    def _advance(self, steps, time) -> ScalarField:
+        """The field `steps` solver steps on, at `time`: from the table once
+        the plume's period is found, else stepped, looking for the period.
+
+        A leg end whose bits equal the anchor's, P steps after it, proves the
+        field repeats every P steps: a step's values depend only on the
+        values before it, the flow, the source and dt. If P fields of the
+        grid fit CYCLE_TABLE_CELLS, the fields of the shortest period from
+        this one are recorded by single steps and later legs read them.
+        """
+        sc = self.goal.scenario
+        if self._cycle is not None:
+            self._phase = (self._phase + steps) % len(self._cycle)
+            return ScalarField(sc.geometry, self._cycle[self._phase], time)
+        field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
+        self._legs += 1
+        self._since += steps
+        if _same_bits(field.values, self._anchor) and (
+            self._since * sc.geometry.k <= CYCLE_TABLE_CELLS
+        ):
+            self._cycle = self._record_period(field, self._since)
+        elif self._legs == self._power:
+            # the solver never writes an array it has returned
+            self._anchor = field.values
+            self._legs = self._since = 0
+            self._power *= 2
+        return field
+
+    def _record_period(self, field, steps) -> list:
+        """The read-only fields of one period from field, which recurs after
+        `steps` steps, cut at its first return."""
+        sc = self.goal.scenario
+        cycle = [field.values]
+        for _ in range(steps - 1):
+            field = field_step(field, sc.flow, sc.source, sc.dt)
+            if _same_bits(field.values, cycle[0]):
+                break
+            cycle.append(field.values)
+        for values in cycle:
+            values.setflags(write=False)
+        return cycle
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two float arrays hold the same bits, compared as integers:
+    -0.0 differs from +0.0, and a NaN matches only the same NaN bits."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))

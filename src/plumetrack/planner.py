@@ -45,6 +45,7 @@ score_candidates keeps nothing between calls; a mission keeps the windows
 it scored for its current belief (see the mission module).
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +56,7 @@ from .belief import (
     MeasurementContext,
     detection_block_weights,
     miss_block_weights,
+    weighted_mass,
 )
 from .grid import GridGeometry
 
@@ -74,10 +76,13 @@ class PlannerParams:
     def __post_init__(self):
         if self.window_cells < 3 or self.window_cells % 2 == 0:
             raise ValueError(f"window_cells: must be odd and >= 3, got {self.window_cells}")
-        if not self.sigma2_hit > 0:
-            raise ValueError(f"sigma2_hit: must be positive, got {self.sigma2_hit}")
-        if not self.sigma2_miss > 0:
-            raise ValueError(f"sigma2_miss: must be positive, got {self.sigma2_miss}")
+        for name in ("sigma2_hit", "sigma2_miss"):
+            sigma2 = getattr(self, name)
+            if not sigma2 > 0:
+                raise ValueError(f"{name}: must be positive, got {sigma2}")
+            # the kernels divide a squared angle, up to pi**2, by 2 * sigma2
+            if not math.pi**2 / (2.0 * sigma2) < math.inf:
+                raise ValueError(f"{name}: pi**2 / (2 * {sigma2:g}) overflows")
         if not 0 < self.detection_ceiling <= 1:
             raise ValueError(f"detection_ceiling: must be in (0, 1], got {self.detection_ceiling}")
         if not 0 < self.prob_clip < 0.5:
@@ -151,9 +156,9 @@ def _update_kl(mass: np.ndarray, w: np.ndarray) -> np.ndarray:
     """KL(posterior || prior) per row, for prior masses mass[c, b] with
     likelihood weights w[c, b] (see the module docstring); 0 for a degenerate
     row. The log ratio is a difference of logs, which cannot overflow on a
-    subnormal prior mass as a quotient would."""
-    post = mass * w
-    z = post.sum(axis=1, keepdims=True)
+    subnormal prior mass as a quotient would. The products are those of
+    bayes_update (weighted_mass)."""
+    post, z = weighted_mass(mass, w, axis=1)
     post /= np.where(z > 0, z, 1.0)  # a degenerate row is all zero and stays so
     live = post > 0
     log_ratio = np.log(post, out=np.zeros_like(post), where=live)

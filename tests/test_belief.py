@@ -287,6 +287,39 @@ class TestBayesUpdate:
         updated = bayes_update(b, like)
         assert np.allclose(updated.probs, [[2 / 13, 6 / 13, 5 / 13]], atol=1e-15)
 
+    def test_equal_subnormal_weights_keep_the_prior_ratio(self):
+        # unscaled, 1/3 and 2/3 times 6.4e-323 rounded to 2e-323 and
+        # 4.4e-323, a posterior of 4/13 and 9/13
+        geom = GridGeometry(nx=3, ny=1, h=1.0)
+        b = GridBelief(geom, np.array([[1.0, 2.0, 0.0]]) / 3.0)
+        updated = bayes_update(b, LikelihoodField(geom, np.array([[6.4e-323, 6.4e-323, 0.0]])))
+        assert updated.probs.tobytes() == b.probs.tobytes()
+        # a subnormal mass times a subnormal weight underflowed to 0, a
+        # degenerate update; all the mass moves onto the weighted cell
+        b = GridBelief(geom, np.array([[1.0, 1.1e-308, 0.0]]))
+        updated = bayes_update(b, LikelihoodField(geom, np.array([[0.0, 1e-295, 0.0]])))
+        assert updated.probs.tolist() == [[0.0, 1.0, 0.0]]
+        # the scale comes from the cells holding mass: a cell without mass
+        # weighted 1 neither hides the subnormal weight nor overflows
+        b = GridBelief(geom, np.array([[0.0, 1.0, 2.0]]) / 3.0)
+        like = LikelihoodField(geom, np.array([[1.0, 1e-320, 1e-320]]))
+        assert bayes_update(b, like).probs.tobytes() == b.probs.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 20]))
+    def test_normal_range_products_keep_their_bits(self, seed, power):
+        # products summing to 2**-900 or more are not rescaled, so the update
+        # is the product renormalized, bit for bit
+        rng = np.random.default_rng(seed)
+        geom = GridGeometry(nx=7, ny=5, h=1.0)
+        p = rng.random((5, 7)) ** power
+        b = GridBelief(geom, p / p.sum())
+        w = rng.random((5, 7)) ** power
+        post = b.probs * w
+        assert post.sum() >= 2.0**-900
+        updated = bayes_update(b, LikelihoodField(geom, w))
+        assert updated.probs.tobytes() == (post / float(post.sum())).tobytes()
+
     def test_degenerate_update_raises(self):
         geom = GridGeometry(nx=2, ny=1, h=1.0)
         b = GridBelief(geom, np.array([[1.0, 0.0]]))

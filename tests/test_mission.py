@@ -1,8 +1,13 @@
 import dataclasses
+import json
+import math
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plumetrack.field as field_module
 import plumetrack.mission as mission_module
@@ -11,13 +16,15 @@ from plumetrack import (
     Mission,
     MissionGoal,
     MissionStatus,
+    ScenarioError,
     TrackResult,
     parse_scenario,
     scenario_from_dict,
 )
 from plumetrack.belief import DegenerateUpdateError, MeasurementContext
-from plumetrack.cli import write_outputs
-from plumetrack.field import step
+from plumetrack.cli import main, write_outputs
+from plumetrack.field import FlowSpec, max_stable_dt, step
+from plumetrack.grid import GridGeometry
 from plumetrack.vehicle import advance_towards
 
 
@@ -479,3 +486,200 @@ class TestSharedSpinUp:
             counts.append(len(steps))
         # the second mission spun up again, as far as the first
         assert 0 < counts[0] < 120 and counts[1] == 2 * counts[0]
+
+
+def _mission_record(mission):
+    """What a run leaves: result, trajectory, feedbacks, final field bits and
+    time, belief bits."""
+    result = mission.run()
+    field = mission.field
+    return (result, mission.log.trajectory, mission.log.feedbacks,
+            field.values.tobytes(), field.time, mission.belief.probs.tobytes())
+
+
+def _tabled_and_stepped(sc):
+    """A mission of sc with the period table, and one stepping every leg."""
+    tabled = Mission(MissionGoal(sc))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mission_module, "CYCLE_TABLE_CELLS", 0)
+        stepped = Mission(MissionGoal(sc))
+        stepped_record = _mission_record(stepped)
+    assert stepped._cycle is None
+    return tabled, _mission_record(tabled), stepped_record
+
+
+class TestPlumeCycle:
+    """A mission whose plume repeats reads later legs from one period."""
+
+    @pytest.mark.parametrize("budget", [None, 333.0])
+    @pytest.mark.parametrize("mode", ["on_arrival", "continuous"])
+    @pytest.mark.parametrize("name", ["scenario_a", "scenario_b", "scenario_upwind"])
+    def test_a_tabled_mission_equals_one_stepping_every_leg(self, name, mode, budget):
+        overrides = {"measure_mode": mode}
+        if budget is not None:
+            overrides["max_sim_time_s"] = budget
+        sc = dataclasses.replace(parse_scenario(name), **overrides)
+        tabled, record, stepped = _tabled_and_stepped(sc)
+        assert record == stepped
+        if name == "scenario_upwind":
+            assert tabled._cycle is not None
+
+    def test_a_table_keeps_the_per_step_time_sum(self):
+        # dt = 0.3 s sums inexactly, so a table-served leg's time must be the
+        # per-step sum; with no diffusion this plume repeats every 2 steps
+        sc = small_scenario(flow={"lambda": 0.0}, sim={"dt": 0.3})
+        tabled, record, stepped = _tabled_and_stepped(sc)
+        assert record == stepped
+        assert len(tabled._cycle) == 2 and tabled.field.values is tabled._cycle[tabled._phase]
+
+    def test_the_upwind_search_finds_the_period_of_12_steps(self, monkeypatch):
+        calls = []
+        field_step = mission_module.field_step
+
+        def counted(*args):
+            calls.append(args[4] if len(args) > 4 else 1)
+            return field_step(*args)
+
+        monkeypatch.setattr(mission_module, "field_step", counted)
+        goal = MissionGoal.for_scenario(parse_scenario("scenario_upwind"), max_updates=100)
+        mission = Mission(goal)
+        mission.run()
+        cycle = mission._cycle
+        assert len(cycle) == 12 and mission.field.values is cycle[mission._phase]
+        assert all(not values.flags.writeable for values in cycle)
+        # 19 legs stepped, 11 single steps recorded the period, and the
+        # remaining 81 legs read it
+        assert len(calls) == 30 and calls[19:] == [1] * 11
+
+    def test_a_period_over_the_budget_is_not_tabled(self, monkeypatch):
+        # a table of the upwind plume's 12-step period on 5,000 cells holds
+        # 60,000 cells
+        sc = dataclasses.replace(parse_scenario("scenario_upwind"), max_updates=100)
+        monkeypatch.setattr(mission_module, "CYCLE_TABLE_CELLS", 12 * 5000 - 1)
+        mission = Mission(MissionGoal(sc))
+        record = _mission_record(mission)
+        assert mission._cycle is None
+        monkeypatch.setattr(mission_module, "CYCLE_TABLE_CELLS", 12 * 5000)
+        mission = Mission(MissionGoal(sc))
+        assert _mission_record(mission) == record and len(mission._cycle) == 12
+
+    def test_fields_that_differ_in_the_sign_of_a_zero_do_not_match(self):
+        a = np.array([[0.0, 1.5], [2.0, 3.0]])
+        b = a.copy()
+        assert mission_module._same_bits(a, b)
+        b[0, 0] = -0.0
+        assert (a == b).all() and not mission_module._same_bits(a, b)
+        b[0, 0] = 1e-320
+        assert not mission_module._same_bits(a, b)
+
+
+# Numbers a draw may put in place of a sane one: signed zeros, subnormals,
+# the float limits and any other finite float.
+_EXTREME = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, -1.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-9, 1e9, 1e300,
+         1.7976931348623157e308]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# (section, key, strategy for an extreme value) of the keys a draw may replace
+_EXTREME_KEYS = (
+    *(
+        (section, key, _EXTREME)
+        for section, key in (
+            ("workspace", "h"), ("flow", "lambda"), ("source", "rate"), ("usv", "speed"),
+            ("sonde", "threshold"), ("sonde", "threshold_fraction"), ("sonde", "noise_std"),
+            ("sonde", "sample_period"), ("stopping", "gamma"), ("stopping", "tau_m"),
+            ("sim", "dt"), ("planner", "sigma2_hit"), ("planner", "sigma2_miss"),
+            ("planner", "detection_ceiling"), ("planner", "prob_clip"),
+        )
+    ),
+    *(
+        (section, key, st.lists(_EXTREME, min_size=2, max_size=2))
+        for section, key in (
+            ("workspace", "origin"), ("flow", "v"), ("source", "position"), ("usv", "start"),
+        )
+    ),
+    *(
+        (section, key, st.sampled_from([-1, 0, 1, 2, 4, 10**6]))
+        for section, key in (("planner", "window_cells"), ("planner", "local_radius_cells"))
+    ),
+)
+
+
+@st.composite
+def scenario_dicts(draw):
+    """A scenario file's dict: a grid of up to 12 x 12 cells, at most 30
+    updates, and up to two numbers replaced by extreme finite ones. The
+    warm-up and the time budget are whole multiples of the final dt, up to
+    300 steps each, so a draw that runs takes a fraction of a second."""
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    h = draw(st.floats(0.5, 20.0))
+    v = [draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))]
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    try:
+        bound = max_stable_dt(FlowSpec(tuple(v), lam), GridGeometry(nx, ny, h))
+    except ValueError:
+        bound = 1.0
+    half = (nx * h / 2, ny * h / 2)
+
+    def position():
+        return [draw(st.floats(-half[0], half[0])), draw(st.floats(-half[1], half[1]))]
+
+    cfg = {
+        "workspace": {"nx": nx, "ny": ny, "h": h},
+        "flow": {"v": v, "lambda": lam},
+        "source": {"position": position(), "rate": draw(st.floats(0.01, 10.0))},
+        "usv": {"start": position(), "speed": draw(st.floats(0.1, 5.0))},
+        "sonde": {
+            "threshold": draw(st.one_of(st.none(), st.floats(1e-6, 1.0))),
+            "threshold_fraction": draw(st.floats(1e-3, 0.5)),
+            "noise_std": draw(st.one_of(st.just(0.0), st.floats(0.0, 0.1))),
+            "sample_period": draw(st.floats(0.5, 10.0)),
+            "measure_mode": draw(st.sampled_from(["on_arrival", "continuous"])),
+        },
+        "planner": {
+            "window_cells": draw(st.sampled_from([3, 5, 11])),
+            "sigma2_hit": draw(st.floats(0.1, 10.0)),
+            "sigma2_miss": draw(st.floats(0.1, 10.0)),
+            "detection_ceiling": draw(st.floats(0.1, 1.0)),
+            "prob_clip": draw(st.floats(1e-9, 0.1)),
+            "local_radius_cells": draw(st.integers(0, 6)),
+        },
+        "stopping": {"gamma": draw(st.floats(0.5, 0.999)), "tau_m": draw(st.floats(1.0, 50.0))},
+        "sim": {
+            "dt": draw(st.floats(0.05, 1.0)) * (bound if bound < math.inf else 1.0),
+            "max_updates": draw(st.integers(0, 30)),
+        },
+        "seed": draw(st.integers(0, 1000)),
+    }
+    for section, key, values in draw(st.lists(st.sampled_from(_EXTREME_KEYS), max_size=2)):
+        cfg[section][key] = draw(values)
+    dt = cfg["sim"]["dt"]
+    cfg["sim"]["warmup_s"] = draw(st.integers(0, 300)) * dt
+    cfg["sim"]["max_sim_time_s"] = draw(st.integers(0, 300)) * dt
+    return cfg
+
+
+class TestValidScenariosRun:
+    """A scenario is rejected at parse time or runs to a TrackResult."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_dicts())
+    def test_a_scenario_is_rejected_or_runs_as_a_stepped_mission_does(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "drawn.json"
+            path.write_text(json.dumps(cfg))
+            code = main(["run", "--scenario", str(path), "--out", str(Path(tmp) / "out")])
+        try:
+            sc = scenario_from_dict(cfg)
+        except ScenarioError:
+            assert code == 2
+            return
+        _, record, stepped = _tabled_and_stepped(sc)
+        result = record[0]
+        assert isinstance(result, TrackResult) and math.isfinite(result.error_m)
+        # exit 1 only for an aborted mission
+        assert code == (1 if result.status == MissionStatus.ABORTED else 0)
+        assert result.status != MissionStatus.CANCELED
+        assert record == stepped

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plumetrack import (
     GridBelief,
@@ -472,8 +472,12 @@ def per_candidate_reference(belief, cand, ctx, params):
     Summing a group's masses before multiplying keeps a small mass from
     underflowing cell by cell against a subnormal weight (3e-9 * 6e-316 is
     0). The grouping is by value alone, so it knows nothing of the planner's
-    clamp regions. The log of the ratio is a difference of logs, which cannot
-    overflow on a subnormal prior mass."""
+    clamp regions. The levels are always scaled by the power of two that
+    brings the largest level holding mass into [1, 2), which leaves the
+    posterior as it is: unscaled, a 1e-308 mass times its 1e-295 weight
+    underflowed to 0, and a branch that moves all the mass onto that cell
+    counted as degenerate. The log of the ratio is a difference of logs,
+    which cannot overflow on a subnormal prior mass."""
     geom = belief.geometry
     table = _hit_kernel_table(geom, tuple(ctx.v_hat), params.sigma2_hit)
     kernel = candidate_kernel(table, geom, cand)
@@ -486,7 +490,10 @@ def per_candidate_reference(belief, cand, ctx, params):
             likelihood(cand_ctx, geom, params).weights.ravel(), return_inverse=True
         )
         mass = np.bincount(group, weights=belief.probs.ravel(), minlength=len(levels))
-        post = mass * levels
+        # a level without mass is left out: it may pass the largest one with
+        # mass by more than the float range, and 0 * inf is NaN
+        levels = np.where(mass > 0, levels, 0.0)
+        post = mass * np.ldexp(levels, 1 - np.frexp(levels.max())[1])
         z = post.sum()
         if not z > 0:  # a degenerate update keeps the prior
             continue
@@ -543,6 +550,51 @@ def scoring_cases(draw):
         ),
     )
     return belief, usv_cell, ctx, params
+
+
+def _equal_subnormal_miss_weights_case():
+    """Hypothesis seed 516's draw: a miss at candidate (3, 2) weighs the two
+    cells holding the belief, masses 1/3 and 2/3, by the same 6.4e-323, so
+    its posterior is the belief. Products of the masses with that weight
+    rounded to 2e-323 and 4.4e-323, and the planner scored a gain of 0.0015."""
+    geom = GridGeometry(9, 7, 1.9, (18.490470587695313, 0.0))
+    p = np.zeros((7, 9))
+    p[4, 3], p[5, 3] = 1.0, 2.0
+    ctx = MeasurementContext((14.690470587695312, -3.8), (1.0, 0.0), (16.597809620185835, 4.125))
+    params = PlannerParams(window_cells=3, sigma2_hit=1e-9, sigma2_miss=1e-9, local_radius_cells=3)
+    return GridBelief(geom, p / p.sum()), (2, 1), ctx, params
+
+
+def _subnormal_mass_on_the_miss_bearing_case():
+    """Hypothesis seed 454's draw: a miss at candidate (0, 7) weighs the
+    cell holding mass 1 by 0 and the one holding 1.1e-308 by 1.07e-295, so
+    the miss posterior is all on the second, a KL of 708.8 nats."""
+    geom = GridGeometry(14, 10, 1.5, (71.0, 0.0))
+    p = np.zeros((10, 14))
+    p[9, 13], p[8, 12] = 1.0, 1.11253693e-308
+    ctx = MeasurementContext((61.25, 0.75), (1.0, 0.0), (79.0, 5.25))
+    params = PlannerParams(
+        window_cells=5, sigma2_hit=1.0, sigma2_miss=1e-9, local_radius_cells=10**20
+    )
+    return GridBelief(geom, p), (0, 5), ctx, params
+
+
+def _subnormal_miss_maximum_behind_a_repeated_cell_case():
+    """Hypothesis seed 472's draw: the miss at candidate (15, 2) weighs the
+    one cell of mass 1/9 it does not zero by 1.5e-323, while the block's
+    entries past the grid edge repeat the candidate's own cell at weight 1.
+    Scaled by the weight 1 of a cell without mass, 1/9 times 1.5e-323
+    underflowed to 0 and the miss branch counted as degenerate."""
+    geom = GridGeometry(16, 9, 4.533203125, (33.68285227716103, -11.806023187974972))
+    p = np.zeros((9, 16))
+    p[4, 14], p[4, 15], p[5, 5] = 4.0, 4.0, 1.0
+    ctx = MeasurementContext(
+        (58.61546946466103, -29.938835687974972), (1.0, 0.0), (-1.5859375, 0.0)
+    )
+    params = PlannerParams(
+        window_cells=5, sigma2_hit=1.0, sigma2_miss=1e-9, local_radius_cells=10
+    )
+    return GridBelief(geom, p / p.sum()), (13, 0), ctx, params
 
 
 def reversed_slice_p_hit(belief, cells, v_hat, params):
@@ -639,6 +691,9 @@ class TestBatchedScoring:
 
     @settings(max_examples=300, deadline=None)
     @given(scoring_cases())
+    @example(_equal_subnormal_miss_weights_case())
+    @example(_subnormal_mass_on_the_miss_bearing_case())
+    @example(_subnormal_miss_maximum_behind_a_repeated_cell_case())
     def test_matches_per_candidate_reference(self, case):
         belief, usv_cell, ctx, params = case
         for cell, got_ig, got_p_hit in zip(*score_candidates(belief, usv_cell, ctx, params)):

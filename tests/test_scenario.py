@@ -131,6 +131,13 @@ class TestValidation:
         assert "flow.v: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_flow_whose_speed_overflows_rejected(self):
+        # |v| overflows to inf, so v / |v| is (0, 0); the overflow is
+        # expected there, so numpy does not warn of it
+        cfg = minimal_config(flow={"v": [1.7976931348623157e308, 1.7976931348623157e308]})
+        with pytest.raises(ScenarioError, match=r"^flow\.v: "):
+            scenario_from_dict(cfg)
+
     def test_unstable_dt_rejected(self):
         cfg = minimal_config()
         cfg["sim"] = {"dt": 10.0}
@@ -413,24 +420,46 @@ def bounded_steps(monkeypatch):
 
 
 def test_stalled_clock_rejected_at_parse_time(tmp_path, capsys, bounded_steps):
-    # 1e17 + 1.0 == 1e17: the warm-up's clock stopped short of its target
+    # 1e17 + 1.0 == 1e17: the warm-up's clock would stop short of its
+    # target, and a clock that stalls takes t / dt >= 2**53 steps, so the
+    # cell-step bound rejects the file, naming sim.dt
     path = tmp_path / "stalled.json"
     path.write_text(json.dumps(scenario_a_with("sim", "warmup_s", 1e17)))
     for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
         assert main([*command, "--scenario", str(path)]) == 2
-        assert ": sim.warmup_s: the clock stops short" in capsys.readouterr().err
-    # a clock that stalls takes t / dt >= 2**53 steps, so the field export's
-    # cell-step bound rejects it first; run_warmup's own check is in test_field
+        assert ": sim.dt: " in capsys.readouterr().err
+    # the field export's bound rejects it too; run_warmup's own check is in
+    # test_field
     out = tmp_path / "field.csv"
     assert main(["field", "--scenario", "scenario_a", "--t", "1e17", "--out", str(out)]) == 2
     assert "error: --t: " in capsys.readouterr().err
     assert not bounded_steps and not out.exists() and not (tmp_path / "out").exists()
-    # the largest warm-up at dt = 1 whose clock still advances passes the
-    # stall check, and the cell-step bound rejects it
-    with pytest.raises(ScenarioError, match=r"^sim\.dt: "):
-        scenario_from_dict(scenario_a_with("sim", "warmup_s", 2.0**53))
-    with pytest.raises(ScenarioError, match=r"^sim\.warmup_s: "):
-        scenario_from_dict(scenario_a_with("sim", "warmup_s", 2.0**53 + 2))
+    # the largest warm-up at dt = 1 whose clock still advances, and the
+    # smallest whose clock stalls, fail on the same bound
+    for warmup_s in (2.0**53, 2.0**53 + 2):
+        with pytest.raises(ScenarioError, match=r"^sim\.dt: "):
+            scenario_from_dict(scenario_a_with("sim", "warmup_s", warmup_s))
+
+
+def test_a_reach_per_step_that_underflows_is_rejected():
+    # 5e-324 m/s times dt = 0.19 s rounds to 0, a leg that never moves
+    # (advance_towards raised when the mission began its first leg)
+    cfg = scenario_a_with("usv", "speed", 5e-324)
+    cfg["sim"]["dt"] = 0.19
+    with pytest.raises(ScenarioError, match=r"^usv\.speed: .* times sim\.dt = 0\.19 s underflows"):
+        scenario_from_dict(cfg)
+    cfg["usv"]["speed"] = 5e-323  # times 0.19 rounds to 1e-323
+    scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize("key", ["sigma2_hit", "sigma2_miss"])
+def test_a_kernel_variance_whose_exponent_overflows_is_rejected(key):
+    # pi**2 / (2 * 5e-324) is inf: numpy warned of an overflow in the
+    # kernel's divide at the first update of the mission
+    with pytest.raises(ScenarioError, match=rf"^planner\.{key}: pi\*\*2 / \(2 \* 4\.9"):
+        scenario_from_dict(scenario_a_with("planner", key, 5e-324))
+    sc = scenario_from_dict(scenario_a_with("planner", key, 3e-308))
+    assert getattr(sc.planner, key) == 3e-308
 
 
 def test_too_many_cell_steps_rejected_at_parse_time(tmp_path, capsys, bounded_steps):
