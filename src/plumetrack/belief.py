@@ -11,8 +11,9 @@ cells, built from a Gaussian kernel on angular deviation:
   a cell is weighted by the angle between the direction from the vehicle to
   the cell and the direction to the last above-threshold reading, with
   variance sigma2_miss. Before any detection a miss carries no information:
-  its likelihood is constant, so the mission builds none and keeps its
-  belief object, which is what bayes_update returns for it.
+  its block weights are all 1.0, so the planner's predicted miss keeps the
+  belief, and the mission builds no likelihood for it and keeps its belief
+  object, which is what bayes_update returns for it.
 
 The kernel is computed only on the covered block, the square neighbourhood of
 the vehicle's cell clipped to the grid, by the same batched block kernels the
@@ -145,16 +146,18 @@ def detection_block_weights(px, py, bx, by, own, v_hat, sigma2_hit) -> np.ndarra
 def miss_block_weights(px, py, bx, by, own, last_hit_pos, h, sigma2_miss) -> np.ndarray:
     """Miss kernel on the covered blocks of C readings, shape (C, H, W); the
     arguments are those of detection_block_weights. Block entries that repeat
-    a cell leave the block minimum unchanged. See miss_likelihood.
+    a cell leave the block minimum unchanged. Before the first detection
+    (last_hit_pos None) every weight is 1.0, as is every weight of a reading
+    taken at the last hit. See miss_likelihood.
     """
+    if last_hit_pos is None:
+        return np.ones((len(px), by.shape[1], bx.shape[1]))
     px, py = np.asarray(px)[:, None, None], np.asarray(py)[:, None, None]
-    # before the first detection the "last hit" is the reading's position
-    hx, hy = last_hit_pos or (px, py)
-    rx, ry = hx - px, hy - py
+    rx, ry = last_hit_pos[0] - px, last_hit_pos[1] - py
     phi = angle_between(bx[:, None, :] - px, by[:, :, None] - py, rx, ry)
     w = np.exp(-(phi**2) / (2.0 * sigma2_miss))
     w[(np.arange(len(w)), *own)] = w.min(axis=(1, 2))
-    # no detection yet, or it was taken here: no usable direction
+    # the last detection was taken here: no usable direction
     w[np.hypot(rx, ry)[:, 0, 0] < 1e-12 * h] = 1.0
     return w
 

@@ -35,15 +35,19 @@ def _write_csv(path, header, rows):
 def write_grid_csv(path, geometry, values, value_column):
     """Per-cell snapshot, row-major with j outer and i inner; one write per grid row.
 
-    A column shares its x and a row its y, so each is formatted once."""
+    A column shares its x and a row its y, so each is formatted once: one
+    %-template holds the i and x of every column, and each row fills in its
+    j, y and values ('%.9g' % v is format(v, '.9g'))."""
     X, Y = geometry.cell_centers()
     xs = [format(x, ".9g") for x in X[0].tolist()]
     ys = [format(y, ".9g") for y in Y[:, 0].tolist()]
+    template = "".join(f"{i},%s,{x},%s,%.9g\n" for i, x in enumerate(xs))
+    args = [None] * (3 * len(xs))
     with Path(path).open("w", newline="") as fh:
         fh.write(f"i,j,x_m,y_m,{value_column}\n")
         for j, y in enumerate(ys):
-            cells = enumerate(zip(xs, values[j].tolist()))
-            fh.write("".join(f"{i},{j},{x},{y},{v:.9g}\n" for i, (x, v) in cells))
+            args[0::3], args[1::3], args[2::3] = [j] * len(xs), [y] * len(xs), values[j].tolist()
+            fh.write(template % tuple(args))
 
 
 def write_field_csv(path, field: ScalarField):
@@ -72,27 +76,26 @@ def write_trace_csv(path, entries):
     """Planner trace, one row per candidate: step,cand_i,cand_j,p_hit,ig,selected.
 
     Takes MissionLog.trace entries, (step, (cells, ig, p_hit), waypoint_cell).
-    Each distinct scores tuple's "i,j,p_hit,ig," text is formatted once,
-    keyed by identity (the entries keep the tuples alive), and reused at
-    each of its steps: the same float through the same format is the same
-    bytes. The mission's memo gives a window one tuple at all its steps, so a
-    search that keeps one belief formats each window it revisits once.
+    The rows after "step," of each distinct (scores tuple, waypoint) pair,
+    "i,j,p_hit,ig,selected", are formatted once, keyed by the tuple's
+    identity (the entries keep the tuples alive), and each step joins them
+    with its own "\n{step},": the same float through the same format is the
+    same bytes. The mission's memo gives a window one tuple and one waypoint
+    at all its steps, so a search that keeps one belief formats each window
+    it revisits once.
     """
     bodies = {}
     with Path(path).open("w", newline="") as fh:
         fh.write("step,cand_i,cand_j,p_hit,ig,selected\n")
         for step, scores, waypoint in entries:
-            cells, ig, p_hit = scores
-            body = bodies.get(id(scores))
+            body = bodies.get((id(scores), waypoint))
             if body is None:
-                body = bodies[id(scores)] = [
-                    f"{i},{j},{p:.9g},{g:.9g},"
+                cells, ig, p_hit = scores
+                body = bodies[id(scores), waypoint] = [
+                    f"{i},{j},{p:.9g},{g:.9g},{int((i, j) == waypoint)}"
                     for (i, j), p, g in zip(cells, p_hit.tolist(), ig.tolist())
                 ]
-            rows = [f"{step},{text}0\n" for text in body]
-            k = cells.index(waypoint)
-            rows[k] = f"{step},{body[k]}1\n"
-            fh.write("".join(rows))
+            fh.write(f"{step}," + f"\n{step},".join(body) + "\n")
 
 
 def dumps_json(obj, indent=0) -> str:

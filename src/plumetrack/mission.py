@@ -12,8 +12,10 @@ set from another thread.
 A miss before the first detection carries no information: the loop builds
 no likelihood for it and keeps the belief object, as bayes_update would for
 that constant likelihood. One memo holds the work done per belief: the point
-estimate, the SCI widths and the scores of each window planned from. It is
-renewed on a new belief object or a detection, the only time last_hit moves.
+estimate, the SCI widths, and the scores and selected waypoint of each window
+planned from (the selection depends only on the scores and the vehicle's
+cell). It is renewed on a new belief object or a detection, the only time
+last_hit moves.
 
 The plume's flow and release are constant, and a stepped plume can become
 exactly periodic, bit for bit. After each stepped leg the mission compares
@@ -239,7 +241,7 @@ class Mission:
             if self.belief is not summarized or reading.z:
                 summarized = self.belief
                 estimate, widths = point_estimate(summarized), sci_widths(summarized, sc.gamma)
-                windows = {}  # usv_cell -> score_candidates' (cells, ig, p_hit)
+                windows = {}  # usv_cell -> (score_candidates' result, waypoint cell)
             fb = MissionFeedback(
                 step=self.updates_used,
                 sim_time_s=self.sim_time_s,
@@ -262,9 +264,11 @@ class Mission:
 
             usv_cell = sc.geometry.cell_of(self.position)
             if usv_cell not in windows:
-                windows[usv_cell] = score_candidates(self.belief, usv_cell, ctx, sc.planner)
-            scores = windows[usv_cell]
-            waypoint_cell = select_waypoint(self.belief, usv_cell, ctx, sc.planner, scores=scores)
+                scores = score_candidates(self.belief, usv_cell, ctx, sc.planner)
+                windows[usv_cell] = scores, select_waypoint(
+                    self.belief, usv_cell, ctx, sc.planner, scores=scores
+                )
+            scores, waypoint_cell = windows[usv_cell]
             if self.log.trace is not None:
                 self.log.trace.append((self.updates_used, scores, waypoint_cell))
             waypoint = sc.geometry.cell_center(*waypoint_cell)
@@ -367,6 +371,6 @@ class Mission:
 
 
 def _same_bits(a, b) -> bool:
-    """Whether two float arrays hold the same bits, compared as integers:
-    -0.0 differs from +0.0, and a NaN matches only the same NaN bits."""
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    """Whether two float arrays of one shape hold the same bits, compared as
+    bytes: -0.0 differs from +0.0, and a NaN matches only the same NaN bits."""
+    return a.tobytes() == b.tobytes()

@@ -30,17 +30,22 @@ itself, so P_b is read from cumulative sums of the belief anchored at that
 border. A summed-area table would take P_b as a difference of partial sums of
 order one, and cancellation would lose small masses. The nine sums are
 written in place, a suffix sum through a reversed view, and a chunk's masses
-are one gather from them. The hit kernel of p_hit is not clamped, so p_hit
-stays a full-grid product per candidate with a kernel from one table, read as
-a contiguous run of a strip of the table copied once per candidate column.
-The table is detection_block_weights over the lattice of cell offsets, so the
-update and p_hit share one detection kernel. These forms multiply and add as
-plain slices of the grid would, in the same order, to the same bits. The pass
-takes the candidates in chunks whose block arrays hold at most
-max(2^16, nx * ny) elements, so a wide window or a radius past the grid cannot
-hold C * nx * ny numbers at once; the bundled scenarios fit one chunk. The
-scores are two float64 arrays, ig and p_hit, aligned with the list of
-candidate cells, so scoring and selection build no object per candidate.
+are one gather from them. The detection kernel over the lattice of cell
+offsets is one table per grid, wind and sigma2_hit. A chunk's hit weights are
+one gather from it where cell centres d cells apart differ by exactly d * h
+in floats for every d up to the radius, which is checked once per grid and
+radius and holds on the bundled grids; elsewhere the block kernel computes
+them. The hit kernel of p_hit is not clamped, so p_hit stays a full-grid
+product per candidate with a kernel from the same table, read as a
+contiguous run of a strip of it copied once per candidate column; the update
+and p_hit share one detection kernel. The hit and the miss branch share one
+log of the masses. These forms multiply and add as plain slices of the grid
+would, in the same order, to the same bits. The pass takes the candidates in
+chunks whose block arrays hold at most max(2^16, nx * ny) elements, so a
+wide window or a radius past the grid cannot hold C * nx * ny numbers at
+once; the bundled scenarios fit one chunk. The scores are two float64
+arrays, ig and p_hit, aligned with the list of candidate cells, so scoring
+and selection build no object per candidate.
 score_candidates keeps nothing between calls; a mission keeps the windows
 it scored for its current belief (see the mission module).
 """
@@ -128,6 +133,20 @@ def _hit_kernel_table(geometry: GridGeometry, v_hat: tuple[float, float], sigma2
     return table
 
 
+@lru_cache(maxsize=8)
+def _on_lattice(geometry: GridGeometry, r: int) -> bool:
+    """Whether the cell centres of both axes differ by exactly d * h for every
+    pair d <= r cells apart, as the table's offsets do: then a block's hit
+    weights are entries of _hit_kernel_table. x - y is -(y - x) exactly, so
+    d > 0 covers both signs."""
+    X, Y = geometry.cell_centers()
+    for centres in (X[0], Y[:, 0]):
+        for d in range(1, min(r, len(centres) - 1) + 1):
+            if not (centres[d:] - centres[:-d] == d * geometry.h).all():
+                return False
+    return True
+
+
 def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) -> np.ndarray:
     """Belief-weighted chance that a measurement at each cell comes up hot,
     clipped to [prob_clip, 1 - prob_clip], through one reused product buffer.
@@ -148,22 +167,32 @@ def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) 
         np.copyto(strip, table[:, nx - 1 - ci : 2 * nx - 1 - ci])
         for c, start in column:
             np.multiply(probs, kernels[start : start + k], out=product)
-            sums[c] = product.sum()
+            sums[c] = np.add.reduce(product)
     return np.clip(params.detection_ceiling * sums, params.prob_clip, 1.0 - params.prob_clip)
 
 
-def _update_kl(mass: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _log_mass(mass: np.ndarray) -> np.ndarray:
+    """log(mass) where mass > 0, else 0: _update_kl's log prior, which the
+    hit and the miss branch of a chunk share."""
+    return np.log(mass, out=np.zeros_like(mass), where=mass > 0)
+
+
+def _update_kl(mass: np.ndarray, w: np.ndarray, log_mass=None) -> np.ndarray:
     """KL(posterior || prior) per row, for prior masses mass[c, b] with
     likelihood weights w[c, b] (see the module docstring); 0 for a degenerate
     row. The log ratio is a difference of logs, which cannot overflow on a
-    subnormal prior mass as a quotient would. The products are those of
-    bayes_update (weighted_mass)."""
+    subnormal prior mass as a quotient would, and is taken only where the
+    posterior holds mass, so the prior's mass there is positive. The products
+    are those of bayes_update (weighted_mass)."""
     post, z = weighted_mass(mass, w, axis=1)
     post /= np.where(z > 0, z, 1.0)  # a degenerate row is all zero and stays so
     live = post > 0
+    if log_mass is None:
+        log_mass = _log_mass(mass)
     log_ratio = np.log(post, out=np.zeros_like(post), where=live)
-    log_ratio -= np.log(mass, out=np.zeros_like(post), where=live)
-    return (post * log_ratio).sum(axis=1)
+    np.subtract(log_ratio, log_mass, out=log_ratio, where=live)
+    log_ratio *= post
+    return log_ratio.sum(axis=1)
 
 
 def _block_axis(c: np.ndarray, r: int, n: int):
@@ -213,6 +242,19 @@ def _clamped_mass(tables: np.ndarray, rows, cols) -> np.ndarray:
     return mass
 
 
+def _table_hit_weights(geom: GridGeometry, ci, cj, rows, cols, v_hat, sigma2_hit):
+    """Hit weights of the covered blocks of cells (ci, cj), shape (C, H, W),
+    as one gather from _hit_kernel_table; rows and cols are the block cell
+    indices from _block_axis. On a grid _on_lattice passes these are the bits
+    of detection_block_weights: the zero offset holds 1.0 and entries past a
+    block repeat a cell, as there."""
+    nx, ny = geom.nx, geom.ny
+    table = _hit_kernel_table(geom, tuple(v_hat), sigma2_hit)
+    row = (ny - 1 - cj[:, None] + rows) * (2 * nx - 1)
+    col = nx - 1 - ci[:, None] + cols
+    return table.reshape(-1).take(row[:, :, None] + col[:, None, :])
+
+
 def _block_kls(geom: GridGeometry, tables, cells, ctx: MeasurementContext, r: int, params):
     """KL divergences of the hit and of the miss posterior for each cell."""
     X, Y = geom.cell_centers()
@@ -222,11 +264,15 @@ def _block_kls(geom: GridGeometry, tables, cells, ctx: MeasurementContext, r: in
     cols, own_i, *col_mass = _block_axis(ci, r, geom.nx)
     rows, own_j, *row_mass = _block_axis(cj, r, geom.ny)
     mass = _clamped_mass(tables, row_mass, col_mass).reshape(n, -1)
+    log_mass = _log_mass(mass)
     block = (xs[ci], ys[cj], xs[cols], ys[rows], (own_j, own_i))
-    w = detection_block_weights(*block, ctx.v_hat, params.sigma2_hit)
-    kl_hit = _update_kl(mass, w.reshape(n, -1))
+    if _on_lattice(geom, r):
+        w = _table_hit_weights(geom, ci, cj, rows, cols, ctx.v_hat, params.sigma2_hit)
+    else:  # no other path gives detection_block_weights' bits here
+        w = detection_block_weights(*block, ctx.v_hat, params.sigma2_hit)
+    kl_hit = _update_kl(mass, w.reshape(n, -1), log_mass)
     w = miss_block_weights(*block, ctx.last_hit_pos, geom.h, params.sigma2_miss)
-    kl_miss = _update_kl(mass, w.reshape(n, -1))
+    kl_miss = _update_kl(mass, w.reshape(n, -1), log_mass)
     return kl_hit, kl_miss
 
 

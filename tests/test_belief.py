@@ -18,7 +18,7 @@ from plumetrack import (
     point_estimate,
     uniform_belief,
 )
-from plumetrack.belief import angle_between
+from plumetrack.belief import angle_between, miss_block_weights
 from plumetrack.uncertainty import MarginalDist
 
 PAPER_GRID = GridGeometry(nx=100, ny=50, h=5.0)
@@ -141,6 +141,23 @@ class TestMissKernel:
         assert np.all(like.weights == like.weights[0, 0])
         updated = bayes_update(uniform_belief(geom), like)
         assert np.allclose(updated.probs, 1 / 121, atol=1e-15)
+
+    def test_no_prior_hit_gives_ones_on_every_block(self):
+        # before the first detection the batched kernel returns ones, the
+        # weights a last hit at each reading's own position gives
+        geom = GridGeometry(nx=9, ny=7, h=0.7, origin=(0.3, -1.1))
+        X, Y = geom.cell_centers()
+        px, py = X[0, [1, 4, 8]], Y[[0, 3, 6], 0]
+        bx, by = X[0, [[0, 1, 2], [3, 4, 5], [6, 7, 8]]], Y[[[0, 1], [2, 3], [5, 6]], 0]
+        own = (np.array([0, 1, 1]), np.array([1, 1, 2]))
+        w = miss_block_weights(px, py, bx, by, own, None, geom.h, 4.0)
+        assert w.shape == (3, 2, 3) and w.dtype == np.float64 and (w == 1.0).all()
+        for c in range(3):
+            at_own = miss_block_weights(
+                px[c : c + 1], py[c : c + 1], bx[c : c + 1], by[c : c + 1],
+                (own[0][c : c + 1], own[1][c : c + 1]), (px[c], py[c]), geom.h, 4.0,
+            )
+            assert at_own.tobytes() == w[c : c + 1].tobytes()
 
     def test_towards_last_hit_gets_peak_weight(self):
         geom = GridGeometry(nx=21, ny=21, h=1.0)

@@ -5,10 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plumetrack.field as field_module
 from plumetrack import GridGeometry, Mission, MissionGoal, parse_scenario
@@ -346,6 +348,89 @@ class TestCsvWriters:
         write_grid_csv(tmp_path / "ours.csv", geom, values, "probability")
         expected = _csv_module_bytes(tmp_path / "ref.csv", header, rows)
         assert (tmp_path / "ours.csv").read_bytes() == expected
+
+
+def per_row_grid_csv(path, geometry, values, value_column):
+    """write_grid_csv in its earlier form: one f-string per CSV row."""
+    X, Y = geometry.cell_centers()
+    xs = [format(x, ".9g") for x in X[0].tolist()]
+    ys = [format(y, ".9g") for y in Y[:, 0].tolist()]
+    with Path(path).open("w", newline="") as fh:
+        fh.write(f"i,j,x_m,y_m,{value_column}\n")
+        for j, y in enumerate(ys):
+            cells = enumerate(zip(xs, values[j].tolist()))
+            fh.write("".join(f"{i},{j},{x},{y},{v:.9g}\n" for i, (x, v) in cells))
+
+
+def per_row_trace_csv(path, entries):
+    """write_trace_csv in its earlier form: one f-string per candidate row,
+    the selected flag added at each step."""
+    bodies = {}
+    with Path(path).open("w", newline="") as fh:
+        fh.write("step,cand_i,cand_j,p_hit,ig,selected\n")
+        for step, scores, waypoint in entries:
+            cells, ig, p_hit = scores
+            body = bodies.get(id(scores))
+            if body is None:
+                body = bodies[id(scores)] = [
+                    f"{i},{j},{p:.9g},{g:.9g},"
+                    for (i, j), p, g in zip(cells, p_hit.tolist(), ig.tolist())
+                ]
+            rows = [f"{step},{text}0\n" for text in body]
+            k = cells.index(waypoint)
+            rows[k] = f"{step},{body[k]}1\n"
+            fh.write("".join(rows))
+
+
+# any float, NaN included, with signed zeros, subnormals, 1e16 and the
+# infinities drawn often
+WRITTEN_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e16, -1e16, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+class TestRowTemplateWriters:
+    """The row-template writers write the bytes of their earlier forms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.floats(1e-3, 1e3),
+        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+        st.data(),
+    )
+    def test_grid_csv_equals_the_per_row_form(self, nx, ny, h, origin, data):
+        geom = GridGeometry(nx=nx, ny=ny, h=h, origin=origin)
+        cells = data.draw(st.lists(WRITTEN_FLOATS, min_size=geom.k, max_size=geom.k))
+        values = np.array(cells).reshape(ny, nx)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+            write_grid_csv(ours, geom, values, "concentration")
+            per_row_grid_csv(ref, geom, values, "concentration")
+            assert ours.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.data())
+    def test_trace_csv_equals_the_per_row_form(self, n, data):
+        cells = [(k % 7, k // 7) for k in range(n)]
+        column = st.lists(WRITTEN_FLOATS, min_size=n, max_size=n).map(np.array)
+        windows = [
+            (cells, data.draw(column), data.draw(column))
+            for _ in range(data.draw(st.integers(1, 3)))
+        ]
+        # windows recur over the steps, each time with any selected cell
+        picks = st.tuples(st.sampled_from(windows), st.sampled_from(cells))
+        entries = [
+            (step, scores, waypoint)
+            for step, (scores, waypoint) in enumerate(data.draw(st.lists(picks, max_size=6)), 1)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+            write_trace_csv(ours, entries)
+            per_row_trace_csv(ref, entries)
+            assert ours.read_bytes() == ref.read_bytes()
 
 
 @pytest.mark.parametrize("command", [["run"], ["batch", "--trials", "1"], ["field", "--t", "0"]])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import tempfile
@@ -25,6 +26,7 @@ from plumetrack.belief import DegenerateUpdateError, MeasurementContext
 from plumetrack.cli import main, write_outputs
 from plumetrack.field import FlowSpec, max_stable_dt, step
 from plumetrack.grid import GridGeometry
+from plumetrack.io import write_trace_csv
 from plumetrack.vehicle import advance_towards
 
 
@@ -334,6 +336,31 @@ def test_upwind_search_traces_each_remembered_window_as_one_object():
     mission.run()
     assert len(mission.log.trace) == 100
     assert len({id(scores) for _, scores, _ in mission.log.trace}) <= 11
+
+
+def test_upwind_search_selects_once_per_scored_window(monkeypatch, tmp_path):
+    # the memo holds each window's selection with its scores: 11 windows in
+    # 100 updates, and the trace bytes of a selection at every update
+    calls = []
+    select = mission_module.select_waypoint
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["scores"])
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(mission_module, "select_waypoint", counted)
+    goal = MissionGoal.for_scenario(parse_scenario("scenario_upwind"), max_updates=100)
+    mission = Mission(goal, collect_trace=True)
+    mission.run()
+    trace = mission.log.trace
+    assert len(trace) == 100 and len(calls) == 11
+    assert {id(scores) for scores in calls} == {id(scores) for _, scores, _ in trace}
+    write_trace_csv(tmp_path / "planner_trace.csv", trace)
+    data = (tmp_path / "planner_trace.csv").read_bytes()
+    assert len(data) == 416_398
+    assert hashlib.sha256(data).hexdigest() == (
+        "88b71d249ad628f31ebe70a51ff640263b33ac43cc1a7203dcff9c02e630d065"
+    )
 
 
 class TestBeliefMemo:

@@ -10,8 +10,11 @@ from plumetrack import (
     GridBelief,
     GridGeometry,
     MeasurementContext,
+    Mission,
+    MissionGoal,
     PlannerParams,
     candidate_waypoints,
+    parse_scenario,
     select_waypoint,
     uniform_belief,
 )
@@ -670,6 +673,32 @@ def block_table_cases(draw):
     return GridBelief(geom, p / p.sum()), usv_cell, ctx, params
 
 
+@st.composite
+def lattice_geometries(draw):
+    """Grids of 1x1 to 25x25 cells whose centres hold no rounding: h is
+    m * 2**-e and the origin a multiple of 2**-e, so every centre is a
+    multiple of 2**-(e + 1) below 2**19 in magnitude, held exactly."""
+    e = draw(st.integers(0, 4))
+    h = draw(st.integers(1, 1000)) * 2.0**-e
+    origin = draw(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)))
+    nx, ny = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    return GridGeometry(nx, ny, h, (origin[0] * 2.0**-e, origin[1] * 2.0**-e))
+
+
+def _block_hit_weights(geom, cells, r, v_hat, sigma2_hit, kernel):
+    """Hit weights of the cells' covered blocks by the table gather, or by
+    detection_block_weights as the planner calls it off the lattice."""
+    ci, cj = np.array(cells).T
+    cols, own_i, *_ = planner._block_axis(ci, r, geom.nx)
+    rows, own_j, *_ = planner._block_axis(cj, r, geom.ny)
+    if kernel == "table":
+        return planner._table_hit_weights(geom, ci, cj, rows, cols, v_hat, sigma2_hit)
+    X, Y = geom.cell_centers()
+    xs, ys = X[0], Y[:, 0]
+    block = (xs[ci], ys[cj], xs[cols], ys[rows], (own_j, own_i))
+    return detection_block_weights(*block, v_hat, sigma2_hit)
+
+
 class TestBatchedScoring:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -731,6 +760,81 @@ class TestBatchedScoring:
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lattice_geometries(),
+        st.floats(0.0, 2.0 * math.pi),
+        st.one_of(st.floats(0.01, 10.0), st.just(1e-9)),
+        st.integers(0, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_table_hit_weights_are_the_block_kernel_on_a_lattice(
+        self, geom, wind, sigma2_hit, radius, seed
+    ):
+        # every cell is a candidate, so every offset within the radius is read
+        r = min(radius, max(geom.nx, geom.ny))
+        assert planner._on_lattice(geom, r)
+        v_hat = (math.cos(wind), math.sin(wind))
+        cells = [(i, j) for j in range(geom.ny) for i in range(geom.nx)]
+        got = _block_hit_weights(geom, cells, r, v_hat, sigma2_hit, "table")
+        want = _block_hit_weights(geom, cells, r, v_hat, sigma2_hit, "kernel")
+        assert got.tobytes() == want.tobytes()
+        # and so the scores, against the pass that takes the kernel
+        rng = np.random.default_rng(seed)
+        p = rng.random((geom.ny, geom.nx)) ** 20
+        belief = GridBelief(geom, p / p.sum())
+        params = PlannerParams(sigma2_hit=sigma2_hit, local_radius_cells=radius)
+        ctx = MeasurementContext(
+            geom.cell_center(*cells[0]), v_hat, geom.cell_center(*cells[-1])
+        )
+        want = planner._score(belief, cells, ctx, params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "_on_lattice", lambda geometry, r: False)
+            got = planner._score(belief, cells, ctx, params)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(hit_table_cases(), st.integers(0, 30))
+    def test_table_hit_weights_are_the_block_kernel_wherever_the_check_passes(self, case, radius):
+        geom, v_hat, sigma2_hit, _ = case
+        r = min(radius, max(geom.nx, geom.ny))
+        cells = [(i, j) for j in range(geom.ny) for i in range(geom.nx)]
+        got = _block_hit_weights(geom, cells, r, v_hat, sigma2_hit, "table")
+        want = _block_hit_weights(geom, cells, r, v_hat, sigma2_hit, "kernel")
+        if planner._on_lattice(geom, r):
+            assert got.tobytes() == want.tobytes()
+
+    def test_off_the_lattice_the_scores_take_the_block_kernel(self, monkeypatch):
+        # 0.3 + 0.1 * k rounds, so centres d cells apart differ by d * 0.1
+        # only up to rounding
+        geom = GridGeometry(9, 7, 0.1, (0.3, 0.0))
+        params = PlannerParams(window_cells=5, local_radius_cells=3)
+        assert not planner._on_lattice(geom, 3)
+        p = np.random.default_rng(7).random((7, 9)) ** 5
+        belief = GridBelief(geom, p / p.sum())
+        ctx = _ctx(geom, (4, 3), last_hit=geom.cell_center(1, 5))
+
+        def no_gather(*args):
+            raise AssertionError("the table gather is exact only on a lattice")
+
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return detection_block_weights(*args)
+
+        monkeypatch.setattr(planner, "_table_hit_weights", no_gather)
+        monkeypatch.setattr(planner, "detection_block_weights", counted)
+        cells, ig, p_hit = score_candidates(belief, (4, 3), ctx, params)
+        # one call for the chunk's blocks; the table, if not cached, adds one
+        # of a single reading
+        assert len(cells) in [c for c in calls if c > 1]
+        for cell, got_ig, got_p_hit in zip(cells, ig, p_hit):
+            want_p_hit, want_ig = per_candidate_reference(belief, cell, ctx, params)
+            assert got_p_hit == want_p_hit
+            assert abs(got_ig - want_ig) <= 1e-12
+
     def test_chunked_scores_match_one_pass(self, monkeypatch):
         # a radius past the grid makes every block the whole grid, so a
         # budget below the cell count scores one candidate per chunk
@@ -763,3 +867,44 @@ class TestBatchedScoring:
         assert len(cells) == geom.k - 1
         # a few float arrays of one chunk's size: O(grid), far below 46 MB
         assert peak < 16 * 8 * max(planner._BLOCK_ELEMENTS, geom.k)
+
+
+def _spread_floats(rng, n, lowest, highest):
+    """n positive floats whose binary exponents spread over [lowest, highest]."""
+    return np.ldexp(rng.random(n) + 0.5, rng.integers(lowest, highest + 1, n))
+
+
+class TestPairwiseSum:
+    """_hit_probabilities sums each product with np.add.reduce, which is
+    ndarray.sum without its Python wrapper: the same pairwise sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 20_000),
+        st.integers(-1074, 995),
+        st.integers(0, 60),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_add_reduce_is_the_array_sum(self, n, lowest, spread, seed):
+        # exponents from the subnormal range to 2**996, about 1e300
+        x = _spread_floats(np.random.default_rng(seed), n, lowest, min(lowest + spread, 995))
+        assert np.add.reduce(x).tobytes() == x.sum().tobytes()
+        assert np.add.reduce(x[::-1]).tobytes() == x[::-1].copy().sum().tobytes()
+
+    def test_add_reduce_is_the_array_sum_of_the_plan_products_of_scenario_a(self, monkeypatch):
+        calls = []
+        hit_probabilities = planner._hit_probabilities
+
+        def recorded(belief, cells, v_hat, params):
+            calls.append((belief, list(cells), v_hat, params))
+            return hit_probabilities(belief, cells, v_hat, params)
+
+        monkeypatch.setattr(planner, "_hit_probabilities", recorded)
+        Mission(MissionGoal(parse_scenario("scenario_a"))).run()
+        assert len(calls) == 31
+        for belief, cells, v_hat, params in calls:
+            table = _hit_kernel_table(belief.geometry, tuple(v_hat), params.sigma2_hit)
+            for cell in cells:
+                product = belief.probs * candidate_kernel(table, belief.geometry, cell)
+                product = product.reshape(-1)
+                assert np.add.reduce(product).tobytes() == product.sum().tobytes()
