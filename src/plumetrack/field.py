@@ -29,7 +29,8 @@ call per step.
 
 The spin-up is deterministic, so warm_field keeps the last few warmed-up
 fields, read-only, and missions of an equal scenario in one process share
-one spin-up. run_warmup itself caches nothing.
+one spin-up, and the plume period one of them finds. run_warmup itself
+caches nothing.
 """
 
 import math
@@ -309,8 +310,12 @@ def warm_field(
     differ only in the sign of a zero compare equal and share an entry: the
     solver's bits do not depend on that sign. A warm-up that raises is not
     cached, so the next call raises again.
+
+    The entry also holds the plume's period record, a one-item list that
+    missions of the plume read and replace (mission.Mission), so it is
+    evicted with its warm field.
     """
-    values, time = _warmed(geometry, flow, source, duration, dt)
+    values, time, _ = _warmed(geometry, flow, source, duration, dt)
     return ScalarField(geometry, values, time)
 
 
@@ -318,7 +323,7 @@ def warm_field(
 def _warmed(geometry, flow, source, duration, dt):
     field = run_warmup(init_field(geometry), flow, source, duration, dt)
     field.values.setflags(write=False)
-    return field.values, field.time
+    return field.values, field.time, [None]
 
 
 def sample_concentration(field: ScalarField, position) -> float:

@@ -18,11 +18,17 @@ cell). It is renewed on a new belief object or a detection, the only time
 last_hit moves.
 
 The plume's flow and release are constant, and a stepped plume can become
-exactly periodic, bit for bit. After each stepped leg the mission compares
-the field's bits with an anchor leg end that moves by Brent's powers of two.
-Once it finds the period, and one period of fields fits CYCLE_TABLE_CELLS,
-it records that period and serves each later leg from it: the same bits and
-times as stepping, and the field's values are then shared and read-only.
+exactly periodic, bit for bit. A mission counts its solver steps since the
+warm field. While its plume has no period record, it compares the field's
+bits after each stepped leg with an anchor leg end that moves by Brent's
+powers of two. Once it finds the period, and one period of fields fits
+CYCLE_TABLE_CELLS, it records that period beside the warm field, in
+field.warm_field's entry, with the step count from which it holds. Every
+mission of that warm plume in the process, the finder included, then
+serves each leg that ends at or past that onset from the record: the same
+bits and times as stepping, and the field's values are then shared and
+read-only. A leg stepped before the onset whose end equals its record entry
+lowers the onset to its own step count.
 
 Everything in the loop is deterministic for a fixed (scenario, seed): the
 random generator is consumed only by sensor noise, which defaults to off.
@@ -56,7 +62,7 @@ from .belief import (
 # no solver cells. run_warmup keeps one step call per
 # step, since the tracer counts a spin-up's solver steps by wrapping
 # field.step.
-from .field import ScalarField, init_field, run_warmup, step as field_step, warm_field  # noqa: F401
+from .field import ScalarField, _warmed, init_field, run_warmup, step as field_step  # noqa: F401
 from .planner import score_candidates, select_waypoint
 from .scenario import Scenario
 from .uncertainty import sci_widths, termination_check
@@ -64,8 +70,8 @@ from .vehicle import advance_towards, take_reading
 
 logger = logging.getLogger(__name__)
 
-# The most cells a mission's table of one plume period may hold: 2**17
-# float64 cells, 1 MiB.
+# The most cells a table of one plume period may hold, to be recorded or
+# read: 2**17 float64 cells, 1 MiB.
 CYCLE_TABLE_CELLS = 2**17
 
 
@@ -132,9 +138,10 @@ class Mission:
 
     The constructor performs the plume warmup and sonde calibration, so the
     object is ready to answer field and belief queries before the loop runs.
-    The warm-up comes from field.warm_field: missions of an equal scenario
-    in one process share one spin-up, bit for bit the field a fresh one
-    gives. The CLI's field export calls run_warmup and is never cached.
+    The warm-up comes from field.warm_field's cache: missions of an equal
+    scenario in one process share one spin-up, bit for bit the field a fresh
+    one gives, and one plume period record. The CLI's field export calls
+    run_warmup and is never cached.
     """
 
     def __init__(self, goal: MissionGoal, rng=None, feedback=None, collect_trace=False):
@@ -147,7 +154,8 @@ class Mission:
         self._result: TrackResult | None = None
         self.log = MissionLog(trace=[] if collect_trace else None)
 
-        self.field = warm_field(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)
+        values, time, self._period = _warmed(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)
+        self.field = ScalarField(sc.geometry, values, time)
         self.threshold = sc.sonde_threshold
         if self.threshold is None:
             # positive: the source cell holds at least one step's injection,
@@ -160,14 +168,13 @@ class Mission:
         self.last_hit: tuple[float, float] | None = None
         self._t0 = self.field.time
         self.updates_used = 0
-        # Brent's cycle search over the leg-end fields: the anchor, the legs
-        # and solver steps since it, and the legs after which it moves on;
-        # then the fields of one period and the current one's index
+        # solver steps since the warm field; without a period record, Brent's
+        # cycle search over the leg-end fields: the anchor, the legs and
+        # solver steps since it, and the legs after which it moves on
+        self._steps = 0
         self._anchor = self.field.values
         self._legs = self._since = 0
         self._power = 1
-        self._cycle: list | None = None
-        self._phase = 0
 
     # -- action surface ----------------------------------------------------
 
@@ -328,26 +335,39 @@ class Mission:
         return in_time
 
     def _advance(self, steps, time) -> ScalarField:
-        """The field `steps` solver steps on, at `time`: from the table once
-        the plume's period is found, else stepped, looking for the period.
+        """The field `steps` solver steps on, at `time`: from the plume's
+        period record if the leg ends at or past its onset, else stepped.
 
-        A leg end whose bits equal the anchor's, P steps after it, proves the
-        field repeats every P steps: a step's values depend only on the
-        values before it, the flow, the source and dt. If P fields of the
-        grid fit CYCLE_TABLE_CELLS, the fields of the shortest period from
-        this one are recorded by single steps and later legs read them.
+        A step's values depend only on the values before it, the flow, the
+        source and dt. The record (onset, base, table) holds the fields of
+        the shortest period P: for every n >= onset, table[(n - base) % P]
+        is the field n solver steps after the warm field. A stepped leg end
+        that equals its entry holds from its own n, which becomes the onset.
+        Without a record, a leg end whose bits equal the anchor's, `since`
+        steps after it, proves the field repeats every `since` steps. If that
+        many fields of the grid fit CYCLE_TABLE_CELLS, the fields of the
+        shortest period from this one are recorded by single steps, and as P
+        divides `since`, the record holds from the anchor on.
         """
         sc = self.goal.scenario
-        if self._cycle is not None:
-            self._phase = (self._phase + steps) % len(self._cycle)
-            return ScalarField(sc.geometry, self._cycle[self._phase], time)
+        n = self._steps = self._steps + steps
+        record = self._period[0]
+        if record is not None and len(record[2]) * sc.geometry.k <= CYCLE_TABLE_CELLS:
+            onset, base, table = record
+            values = table[(n - base) % len(table)]
+            if n >= onset:
+                return ScalarField(sc.geometry, values, time)
+            field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
+            if _same_bits(field.values, values):
+                self._period[0] = (n, base, table)
+            return field
         field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
         self._legs += 1
         self._since += steps
         if _same_bits(field.values, self._anchor) and (
             self._since * sc.geometry.k <= CYCLE_TABLE_CELLS
         ):
-            self._cycle = self._record_period(field, self._since)
+            self._period[0] = (n - self._since, n, self._record_period(field, self._since))
         elif self._legs == self._power:
             # the solver never writes an array it has returned
             self._anchor = field.values
@@ -355,7 +375,7 @@ class Mission:
             self._power *= 2
         return field
 
-    def _record_period(self, field, steps) -> list:
+    def _record_period(self, field, steps) -> tuple:
         """The read-only fields of one period from field, which recurs after
         `steps` steps, cut at its first return."""
         sc = self.goal.scenario
@@ -367,7 +387,7 @@ class Mission:
             cycle.append(field.values)
         for values in cycle:
             values.setflags(write=False)
-        return cycle
+        return tuple(cycle)
 
 
 def _same_bits(a, b) -> bool:

@@ -524,17 +524,44 @@ def _mission_record(mission):
             field.values.tobytes(), field.time, mission.belief.probs.tobytes())
 
 
+def _solver_calls(monkeypatch):
+    """The steps of each solver call the mission makes, one entry per call."""
+    calls = []
+    field_step = mission_module.field_step
+
+    def counted(*args):
+        calls.append(args[4] if len(args) > 4 else 1)
+        return field_step(*args)
+
+    monkeypatch.setattr(mission_module, "field_step", counted)
+    return calls
+
+
 def _tabled_and_stepped(sc):
-    """A mission of sc with the period table, and one stepping every leg."""
+    """A mission of sc with the plume's period record, and one stepping
+    every leg."""
     tabled = Mission(MissionGoal(sc))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mission_module, "CYCLE_TABLE_CELLS", 0)
+        calls = _solver_calls(mp)
         stepped = Mission(MissionGoal(sc))
         stepped_record = _mission_record(stepped)
-    assert stepped._cycle is None
+    # it recorded no period and read none: each solver step was a leg's
+    assert sum(calls) == stepped._steps
     return tabled, _mission_record(tabled), stepped_record
 
 
+def _upwind_search():
+    return dataclasses.replace(parse_scenario("scenario_upwind"), max_updates=100)
+
+
+@pytest.fixture
+def no_warm_plumes():
+    """No warm field in the process, so no plume period record either."""
+    field_module._warmed.cache_clear()
+
+
+@pytest.mark.usefixtures("no_warm_plumes")
 class TestPlumeCycle:
     """A mission whose plume repeats reads later legs from one period."""
 
@@ -549,7 +576,7 @@ class TestPlumeCycle:
         tabled, record, stepped = _tabled_and_stepped(sc)
         assert record == stepped
         if name == "scenario_upwind":
-            assert tabled._cycle is not None
+            assert tabled._period[0] is not None
 
     def test_a_table_keeps_the_per_step_time_sum(self):
         # dt = 0.3 s sums inexactly, so a table-served leg's time must be the
@@ -557,23 +584,16 @@ class TestPlumeCycle:
         sc = small_scenario(flow={"lambda": 0.0}, sim={"dt": 0.3})
         tabled, record, stepped = _tabled_and_stepped(sc)
         assert record == stepped
-        assert len(tabled._cycle) == 2 and tabled.field.values is tabled._cycle[tabled._phase]
+        _, base, table = tabled._period[0]
+        assert len(table) == 2 and tabled.field.values is table[(tabled._steps - base) % 2]
 
     def test_the_upwind_search_finds_the_period_of_12_steps(self, monkeypatch):
-        calls = []
-        field_step = mission_module.field_step
-
-        def counted(*args):
-            calls.append(args[4] if len(args) > 4 else 1)
-            return field_step(*args)
-
-        monkeypatch.setattr(mission_module, "field_step", counted)
-        goal = MissionGoal.for_scenario(parse_scenario("scenario_upwind"), max_updates=100)
-        mission = Mission(goal)
+        calls = _solver_calls(monkeypatch)
+        mission = Mission(MissionGoal(_upwind_search()))
         mission.run()
-        cycle = mission._cycle
-        assert len(cycle) == 12 and mission.field.values is cycle[mission._phase]
-        assert all(not values.flags.writeable for values in cycle)
+        _, base, table = mission._period[0]
+        assert len(table) == 12 and mission.field.values is table[(mission._steps - base) % 12]
+        assert all(not values.flags.writeable for values in table)
         # 19 legs stepped, 11 single steps recorded the period, and the
         # remaining 81 legs read it
         assert len(calls) == 30 and calls[19:] == [1] * 11
@@ -581,14 +601,14 @@ class TestPlumeCycle:
     def test_a_period_over_the_budget_is_not_tabled(self, monkeypatch):
         # a table of the upwind plume's 12-step period on 5,000 cells holds
         # 60,000 cells
-        sc = dataclasses.replace(parse_scenario("scenario_upwind"), max_updates=100)
+        sc = _upwind_search()
         monkeypatch.setattr(mission_module, "CYCLE_TABLE_CELLS", 12 * 5000 - 1)
         mission = Mission(MissionGoal(sc))
         record = _mission_record(mission)
-        assert mission._cycle is None
+        assert mission._period[0] is None
         monkeypatch.setattr(mission_module, "CYCLE_TABLE_CELLS", 12 * 5000)
         mission = Mission(MissionGoal(sc))
-        assert _mission_record(mission) == record and len(mission._cycle) == 12
+        assert _mission_record(mission) == record and len(mission._period[0][2]) == 12
 
     def test_fields_that_differ_in_the_sign_of_a_zero_do_not_match(self):
         a = np.array([[0.0, 1.5], [2.0, 3.0]])
@@ -598,6 +618,91 @@ class TestPlumeCycle:
         assert (a == b).all() and not mission_module._same_bits(a, b)
         b[0, 0] = 1e-320
         assert not mission_module._same_bits(a, b)
+
+
+@pytest.mark.usefixtures("no_warm_plumes")
+class TestSharedPeriod:
+    """The missions of one warm plume share its period record, each from
+    the first leg it is known to hold."""
+
+    @staticmethod
+    def _stepped_reference(sc):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mission_module, "CYCLE_TABLE_CELLS", 0)
+            return _mission_record(Mission(MissionGoal(sc)))
+
+    @pytest.mark.parametrize(
+        "mode, counts, onsets",
+        [
+            # the first mission finds the period at step 163 (onset 151) and
+            # records it in 11 single steps; the second steps two legs, to 20
+            # and 38, where its leg end matches the record; the third steps
+            # to 20
+            ("on_arrival", [(30, 174), (2, 38), (1, 20)], [151, 38, 38]),
+            # legs of one step: the second mission's leg end matches at step
+            # 29, where the plume starts to repeat, and the third steps to 28
+            ("continuous", [(54, 54), (29, 29), (28, 28)], [31, 29, 29]),
+        ],
+    )
+    def test_repeated_upwind_searches_read_the_first_ones_period(
+        self, monkeypatch, mode, counts, onsets
+    ):
+        sc = dataclasses.replace(_upwind_search(), measure_mode=mode)
+        reference = self._stepped_reference(sc)
+        calls = _solver_calls(monkeypatch)
+        seen = []
+        for _ in range(3):
+            calls.clear()
+            mission = Mission(MissionGoal(sc))
+            assert _mission_record(mission) == reference
+            seen.append(((len(calls), sum(calls)), mission._period[0][0]))
+        assert seen == list(zip(counts, onsets))
+        onset, base, table = mission._period[0]
+        warm = field_module.warm_field(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)
+        stepped = step(warm, sc.flow, sc.source, sc.dt, onset)
+        assert table[(onset - base) % len(table)].tobytes() == stepped.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "first, second", [("continuous", "on_arrival"), ("on_arrival", "continuous")]
+    )
+    def test_a_record_serves_the_other_measure_mode(self, monkeypatch, first, second):
+        sc = _upwind_search()
+        reference = self._stepped_reference(dataclasses.replace(sc, measure_mode=second))
+        Mission(MissionGoal(dataclasses.replace(sc, measure_mode=first))).run()
+        record = field_module._warmed(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)[2][0]
+        assert record is not None
+        calls = _solver_calls(monkeypatch)
+        mission = Mission(MissionGoal(dataclasses.replace(sc, measure_mode=second)))
+        assert _mission_record(mission) == reference
+        # it recorded nothing, and read its later legs from the record
+        assert mission._period[0][2] is record[2] and sum(calls) < mission._steps
+
+    def test_a_table_limit_of_zero_steps_every_leg_of_a_recorded_plume(self, monkeypatch):
+        sc = _upwind_search()
+        tabled = Mission(MissionGoal(sc))
+        reference = _mission_record(tabled)
+        record = tabled._period[0]
+        monkeypatch.setattr(mission_module, "CYCLE_TABLE_CELLS", 0)
+        calls = _solver_calls(monkeypatch)
+        mission = Mission(MissionGoal(sc))
+        assert _mission_record(mission) == reference
+        assert sum(calls) == mission._steps and mission._period[0] is record
+
+    def test_missions_on_threads_and_a_search_after_eviction(self, monkeypatch):
+        sc = _upwind_search()
+        reference = self._stepped_reference(sc)
+        field_module._warmed.cache_clear()
+        missions = [Mission(MissionGoal(sc)) for _ in range(2)]
+        for mission in missions:
+            mission.start()
+        assert [_mission_record(mission) for mission in missions] == [reference] * 2
+        # four other warm plumes evict this one's entry and its record
+        for duration in (1.0, 2.0, 3.0, 4.0):
+            field_module.warm_field(sc.geometry, sc.flow, sc.source, duration, sc.dt)
+        calls = _solver_calls(monkeypatch)
+        mission = Mission(MissionGoal(sc))
+        assert mission._period[0] is None
+        assert _mission_record(mission) == reference and len(calls) == 30
 
 
 # Numbers a draw may put in place of a sane one: signed zeros, subnormals,
