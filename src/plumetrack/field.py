@@ -18,25 +18,18 @@ an outflow wall.
 A step works on the raveled grid, one contiguous shift per flux difference,
 and does the 2D flux form's operations in its order, so it is bitwise equal
 to it. Its temporaries are per-thread scratch reused across steps. One call
-can take several steps, as a mission's travel leg does: it checks dt, the
-stability bound and dt / h, finds the source cell and builds its flux views
-once per call, checks the injected source cell on every step, and checks
-non-negativity once, on the returned field. A NaN formed by an earlier step
-still fails that check, since it stays NaN through every later step. Its
-steps alternate between the returned array and one more per-thread array,
-so only the returned array is new, and the result is bitwise equal to one
-call per step.
-
-The spin-up is deterministic, so warm_field keeps the last few warmed-up
-fields, read-only, and missions of an equal scenario in one process share
-one spin-up, and the plume period one of them finds. run_warmup itself
-caches nothing.
+can take several steps: it checks dt, the stability bound and dt / h, finds
+the source cell and builds its flux views once per call, checks the injected
+source cell on every step, and checks non-negativity once, on the returned
+field. A NaN formed by an earlier step still fails that check, since it
+stays NaN through every later step. Its steps alternate between the returned
+array and one more per-thread array, so only the returned array is new, and
+the result is bitwise equal to one call per step.
 """
 
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -279,16 +272,16 @@ def peak_bound(source: SourceSpec, h: float, dt: float, duration: float) -> floa
     advection and diffusion make each cell a convex combination of the cells
     before the step, so no cell exceeds the steps taken times the injection
     per step, rate * dt / h**2. A clock that does not stall (clock_stalls)
-    advances by at least dt / 2 per step, so a warm-up and a mission, each
-    ending at most one step past its time, take 2 * duration / dt + 2 steps
-    at most.
+    advances by at least dt / 2 per step, so a warm-up and the run after it,
+    each ending at most one step past its time, take 2 * duration / dt + 2
+    steps at most.
     """
     injection = source.rate * dt / h**2
     return injection * (2.0 * duration / dt + 2.0) if injection else 0.0
 
 
 # The most cell-steps (grid cells times solver steps) that a scenario's
-# warm-up and mission, or a field export, may take: at the solver's 20-30 ns
+# warm-up and run, or a field export, may take: at the solver's 20-30 ns
 # per cell-step, about half a minute.
 MAX_CELL_STEPS = 1e9
 
@@ -297,33 +290,6 @@ def cell_steps(geometry: GridGeometry, duration: float, dt: float) -> float:
     """nx * ny * duration / dt, the cell-steps of stepping a field on the
     grid for duration seconds; inf where the product overflows."""
     return float(geometry.nx) * geometry.ny * duration / dt
-
-
-def warm_field(
-    geometry: GridGeometry, flow: FlowSpec, source: SourceSpec, duration: float, dt: float
-) -> ScalarField:
-    """run_warmup(init_field(geometry), flow, source, duration, dt), spun up
-    once per process for each of the last few distinct arguments.
-
-    Each call returns a new ScalarField on the caller's geometry; its values
-    are the cached array, read-only, which a step only reads. Arguments that
-    differ only in the sign of a zero compare equal and share an entry: the
-    solver's bits do not depend on that sign. A warm-up that raises is not
-    cached, so the next call raises again.
-
-    The entry also holds the plume's period record, a one-item list that
-    missions of the plume read and replace (mission.Mission), so it is
-    evicted with its warm field.
-    """
-    values, time, _ = _warmed(geometry, flow, source, duration, dt)
-    return ScalarField(geometry, values, time)
-
-
-@lru_cache(maxsize=4)
-def _warmed(geometry, flow, source, duration, dt):
-    field = run_warmup(init_field(geometry), flow, source, duration, dt)
-    field.values.setflags(write=False)
-    return field.values, field.time, [None]
 
 
 def sample_concentration(field: ScalarField, position) -> float:

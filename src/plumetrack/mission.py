@@ -1,8 +1,8 @@
 """Closed tracking loop with in-process action semantics.
 
-A mission owns the warmed-up plume field, the vehicle's position, the grid
-belief and the planner, and iterates measure, update, plan, navigate until the
-credible interval termination test passes, a budget runs out, or the goal is
+A mission owns its plume, the vehicle's position, the grid belief and the
+planner, and iterates measure, update, plan, navigate until the credible
+interval termination test passes, a budget runs out, or the goal is
 cancelled. The field's time is the mission's one clock, and the vehicle's
 speed and sonde settings are read from the scenario; only the calibrated
 sonde threshold is the mission's own. Feedback is emitted exactly once per
@@ -17,18 +17,11 @@ planned from (the selection depends only on the scores and the vehicle's
 cell). It is renewed on a new belief object or a detection, the only time
 last_hit moves.
 
-The plume's flow and release are constant, and a stepped plume can become
-exactly periodic, bit for bit. A mission counts its solver steps since the
-warm field. While its plume has no period record, it compares the field's
-bits after each stepped leg with an anchor leg end that moves by Brent's
-powers of two. Once it finds the period, and one period of fields fits
-CYCLE_TABLE_CELLS, it records that period beside the warm field, in
-field.warm_field's entry, with the step count from which it holds. Every
-mission of that warm plume in the process, the finder included, then
-serves each leg that ends at or past that onset from the record: the same
-bits and times as stepping, and the field's values are then shared and
-read-only. A leg stepped before the onset whose end equals its record entry
-lowers the onset to its own step count.
+The plume never depends on the vehicle, so a Plume holds it: the field, its
+solver steps since the warm field, and Brent's search for an exact period of
+the stepped fields, bit for bit. The Plumes of one warm plume in a process
+share the period record one of them finds, and serve each leg that ends at
+or past its onset from it, with the bits and times stepping gives.
 
 Everything in the loop is deterministic for a fixed (scenario, seed): the
 random generator is consumed only by sensor noise, which defaults to off.
@@ -42,6 +35,7 @@ import enum
 import logging
 import threading
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,15 +48,8 @@ from .belief import (
     point_estimate,
     uniform_belief,
 )
-# init_field and run_warmup stay bound here: an outside-in tracer that wraps
-# this module's names (perfbench/layers.py) expects them. A travel leg steps
-# the field in one call, and a plume period is recorded by single steps,
-# through the name field_step, which that tracer times as the field layer and
-# divides by the cell-steps it saw; without it a traced mission would count
-# no solver cells. run_warmup keeps one step call per
-# step, since the tracer counts a spin-up's solver steps by wrapping
-# field.step.
-from .field import ScalarField, _warmed, init_field, run_warmup, step as field_step  # noqa: F401
+# perfbench/layers.py times the field layer by wrapping these three names here
+from .field import ScalarField, init_field, run_warmup, step as field_step
 from .planner import score_candidates, select_waypoint
 from .scenario import Scenario
 from .uncertainty import sci_widths, termination_check
@@ -136,12 +123,10 @@ class MissionLog:
 class Mission:
     """One tracking mission; run synchronously or via start()/result().
 
-    The constructor performs the plume warmup and sonde calibration, so the
-    object is ready to answer field and belief queries before the loop runs.
-    The warm-up comes from field.warm_field's cache: missions of an equal
-    scenario in one process share one spin-up, bit for bit the field a fresh
-    one gives, and one plume period record. The CLI's field export calls
-    run_warmup and is never cached.
+    The mission holds the vehicle, the belief and the loop; its Plume holds
+    the field. The constructor takes the plume's warm field and calibrates
+    the sonde, so the object is ready to answer field and belief queries
+    before the loop runs.
     """
 
     def __init__(self, goal: MissionGoal, rng=None, feedback=None, collect_trace=False):
@@ -154,8 +139,7 @@ class Mission:
         self._result: TrackResult | None = None
         self.log = MissionLog(trace=[] if collect_trace else None)
 
-        values, time, self._period = _warmed(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)
-        self.field = ScalarField(sc.geometry, values, time)
+        self.plume = Plume(sc)
         self.threshold = sc.sonde_threshold
         if self.threshold is None:
             # positive: the source cell holds at least one step's injection,
@@ -168,13 +152,6 @@ class Mission:
         self.last_hit: tuple[float, float] | None = None
         self._t0 = self.field.time
         self.updates_used = 0
-        # solver steps since the warm field; without a period record, Brent's
-        # cycle search over the leg-end fields: the anchor, the legs and
-        # solver steps since it, and the legs after which it moves on
-        self._steps = 0
-        self._anchor = self.field.values
-        self._legs = self._since = 0
-        self._power = 1
 
     # -- action surface ----------------------------------------------------
 
@@ -196,6 +173,10 @@ class Mission:
         if self._result is None:
             raise RuntimeError("mission has not produced a result yet")
         return self._result
+
+    @property
+    def field(self) -> ScalarField:
+        return self.plume.field
 
     @property
     def sim_time_s(self) -> float:
@@ -301,7 +282,7 @@ class Mission:
 
     def _travel(self, waypoint) -> bool:
         """Move the vehicle usv_speed * dt per step until arrival, then
-        advance the field as many steps (_advance).
+        advance the plume as many steps (Plume.advance).
 
         The leg runs on a local clock, t += dt per step, which gives the
         floats field.time takes, and checks the waypoint against the
@@ -331,12 +312,44 @@ class Mission:
             if sc.measure_mode == "continuous" and elapsed + 1e-9 >= sc.sonde_sample_period:
                 break
         if steps:
-            self.field = self._advance(steps, t)
+            self.plume.advance(steps, t)
         return in_time
 
-    def _advance(self, steps, time) -> ScalarField:
-        """The field `steps` solver steps on, at `time`: from the plume's
-        period record if the leg ends at or past its onset, else stepped.
+
+@lru_cache(maxsize=4)
+def _warmed(geometry, flow, source, duration, dt):
+    """A spun-up field's read-only values and time, and a one-item list for
+    the plume's period record, so that it is evicted with them. Arguments that
+    differ only in the sign of a zero share an entry: the solver's bits do not
+    depend on it. A warm-up that raises is not cached."""
+    field = run_warmup(init_field(geometry), flow, source, duration, dt)
+    field.values.setflags(write=False)
+    return field.values, field.time, [None]
+
+
+_record_lock = threading.Lock()  # Plumes on several threads write one record
+
+
+class Plume:
+    """One mission's plume: its field and solver steps since the warm field.
+    Plumes of an equal scenario in one process share one spin-up, bit for
+    bit a fresh one, read-only, and one period record."""
+
+    def __init__(self, scenario: Scenario):
+        sc = self._scenario = scenario
+        values, time, self._period = _warmed(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)
+        self.field = ScalarField(sc.geometry, values, time)
+        self.steps = 0
+        # without a period record, Brent's cycle search over the leg-end
+        # fields: the anchor, the legs and solver steps since it, and the
+        # legs after which it moves on
+        self._anchor = values
+        self._legs = self._since = 0
+        self._power = 1
+
+    def advance(self, steps, time) -> ScalarField:
+        """The field `steps` solver steps on, at `time`: from the period
+        record if the leg ends at or past its onset, else stepped.
 
         A step's values depend only on the values before it, the flow, the
         source and dt. The record (onset, base, table) holds the fields of
@@ -349,36 +362,38 @@ class Mission:
         shortest period from this one are recorded by single steps, and as P
         divides `since`, the record holds from the anchor on.
         """
-        sc = self.goal.scenario
-        n = self._steps = self._steps + steps
+        sc = self._scenario
+        n = self.steps = self.steps + steps
         record = self._period[0]
         if record is not None and len(record[2]) * sc.geometry.k <= CYCLE_TABLE_CELLS:
             onset, base, table = record
             values = table[(n - base) % len(table)]
             if n >= onset:
-                return ScalarField(sc.geometry, values, time)
-            field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
-            if _same_bits(field.values, values):
-                self._period[0] = (n, base, table)
-            return field
-        field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
+                self.field = ScalarField(sc.geometry, values, time)
+                return self.field
+            self.field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
+            if _same_bits(self.field.values, values):
+                self._keep_earliest((n, base, table))
+            return self.field
+        self.field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
         self._legs += 1
         self._since += steps
-        if _same_bits(field.values, self._anchor) and (
+        if _same_bits(self.field.values, self._anchor) and (
             self._since * sc.geometry.k <= CYCLE_TABLE_CELLS
         ):
-            self._period[0] = (n - self._since, n, self._record_period(field, self._since))
+            self._keep_earliest((n - self._since, n, self._record_period(self._since)))
         elif self._legs == self._power:
             # the solver never writes an array it has returned
-            self._anchor = field.values
+            self._anchor = self.field.values
             self._legs = self._since = 0
             self._power *= 2
-        return field
+        return self.field
 
-    def _record_period(self, field, steps) -> tuple:
-        """The read-only fields of one period from field, which recurs after
-        `steps` steps, cut at its first return."""
-        sc = self.goal.scenario
+    def _record_period(self, steps) -> tuple:
+        """The read-only fields of one period from the field, which recurs
+        after `steps` steps, cut at its first return."""
+        sc = self._scenario
+        field = self.field
         cycle = [field.values]
         for _ in range(steps - 1):
             field = field_step(field, sc.flow, sc.source, sc.dt)
@@ -388,6 +403,14 @@ class Mission:
         for values in cycle:
             values.setflags(write=False)
         return tuple(cycle)
+
+    def _keep_earliest(self, record):
+        """Replace the held record, read again as another thread may have
+        lowered its onset, only by one with an earlier onset."""
+        with _record_lock:
+            held = self._period[0]
+            if held is None or record[0] < held[0]:
+                self._period[0] = record
 
 
 def _same_bits(a, b) -> bool:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import tempfile
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import plumetrack.field as field_module
 import plumetrack.mission as mission_module
@@ -24,9 +25,10 @@ from plumetrack import (
 )
 from plumetrack.belief import DegenerateUpdateError, MeasurementContext
 from plumetrack.cli import main, write_outputs
-from plumetrack.field import FlowSpec, max_stable_dt, step
+from plumetrack.field import FlowSpec, SourceSpec, init_field, max_stable_dt, run_warmup, step
 from plumetrack.grid import GridGeometry
 from plumetrack.io import write_trace_csv
+from plumetrack.scenario import Scenario, bundled_scenario_names
 from plumetrack.vehicle import advance_towards
 
 
@@ -460,7 +462,7 @@ class TestSharedSpinUp:
         return calls
 
     def test_second_equal_mission_steps_no_solver_in_its_constructor(self, monkeypatch):
-        field_module._warmed.cache_clear()
+        mission_module._warmed.cache_clear()
         steps = self._counted_steps(monkeypatch)
         sc = small_scenario()
         Mission(MissionGoal.for_scenario(sc))
@@ -481,7 +483,7 @@ class TestSharedSpinUp:
         assert second.field.time == 120.0
 
     def test_equal_missions_write_equal_artifacts(self, tmp_path):
-        field_module._warmed.cache_clear()
+        mission_module._warmed.cache_clear()
         goal = MissionGoal.for_scenario(small_scenario())
         for name in ("cold", "warm"):
             mission = Mission(goal, collect_trace=True)
@@ -495,7 +497,7 @@ class TestSharedSpinUp:
         # every 30th solver step raises (the parser rejects a scenario whose
         # injection could overflow, so the failure is injected), and an
         # exception is never cached
-        field_module._warmed.cache_clear()
+        mission_module._warmed.cache_clear()
         steps, step = [], field_module.step
 
         def failing(*args):
@@ -513,6 +515,48 @@ class TestSharedSpinUp:
             counts.append(len(steps))
         # the second mission spun up again, as far as the first
         assert 0 < counts[0] < 120 and counts[1] == 2 * counts[0]
+
+
+def _plume(geometry, flow, source, warmup_s):
+    """The Plume of a scenario with these plume settings and dt = 1 s."""
+    return mission_module.Plume(Scenario(geometry, flow, source, (0.0, 0.0), warmup_s=warmup_s))
+
+
+class TestWarmField:
+    """A Plume's warm field: that of run_warmup, spun up once per process."""
+
+    @pytest.mark.parametrize("name", bundled_scenario_names())
+    def test_bitwise_equal_to_a_fresh_warmup(self, name):
+        sc = parse_scenario(name)
+        fresh = run_warmup(init_field(sc.geometry), sc.flow, sc.source, sc.warmup_s, sc.dt)
+        mission_module._warmed.cache_clear()
+        for _ in range(2):  # the spin-up, then the cached field
+            warm = mission_module.Plume(sc).field
+            assert warm.geometry is sc.geometry
+            assert warm.time == fresh.time
+            assert warm.values.tobytes() == fresh.values.tobytes()
+
+    def test_values_are_read_only(self):
+        geom = GridGeometry(100, 50, 5.0)
+        warm = _plume(geom, FlowSpec((1.0, 0.5)), SourceSpec((2.5, 2.5), 1.0), 5.0).field
+        assert not warm.values.flags.writeable
+        with pytest.raises(ValueError):
+            warm.values[0, 0] = 1.0
+
+    def test_signed_zeros_share_an_entry_and_give_their_own_bits(self):
+        # the origin, the source position, the zero velocity component and
+        # the diffusivity each take either sign of zero: 64 variants that
+        # compare equal, so the first one's spin-up serves them all
+        mission_module._warmed.cache_clear()
+        for signs in itertools.product((0.0, -0.0), repeat=6):
+            ox, oy, sx, sy, vy, lam = signs
+            geom = GridGeometry(12, 8, 2.5, (ox, oy))
+            flow, source = FlowSpec((1.5, vy), lam), SourceSpec((sx, sy), 2.0)
+            fresh = run_warmup(init_field(geom), flow, source, 30.0, 1.0)
+            warm = _plume(geom, flow, source, 30.0).field
+            assert warm.geometry is geom and warm.time == fresh.time
+            assert warm.values.tobytes() == fresh.values.tobytes()
+        assert mission_module._warmed.cache_info().currsize == 1
 
 
 def _mission_record(mission):
@@ -547,7 +591,7 @@ def _tabled_and_stepped(sc):
         stepped = Mission(MissionGoal(sc))
         stepped_record = _mission_record(stepped)
     # it recorded no period and read none: each solver step was a leg's
-    assert sum(calls) == stepped._steps
+    assert sum(calls) == stepped.plume.steps
     return tabled, _mission_record(tabled), stepped_record
 
 
@@ -558,7 +602,7 @@ def _upwind_search():
 @pytest.fixture
 def no_warm_plumes():
     """No warm field in the process, so no plume period record either."""
-    field_module._warmed.cache_clear()
+    mission_module._warmed.cache_clear()
 
 
 @pytest.mark.usefixtures("no_warm_plumes")
@@ -576,7 +620,7 @@ class TestPlumeCycle:
         tabled, record, stepped = _tabled_and_stepped(sc)
         assert record == stepped
         if name == "scenario_upwind":
-            assert tabled._period[0] is not None
+            assert tabled.plume._period[0] is not None
 
     def test_a_table_keeps_the_per_step_time_sum(self):
         # dt = 0.3 s sums inexactly, so a table-served leg's time must be the
@@ -584,15 +628,15 @@ class TestPlumeCycle:
         sc = small_scenario(flow={"lambda": 0.0}, sim={"dt": 0.3})
         tabled, record, stepped = _tabled_and_stepped(sc)
         assert record == stepped
-        _, base, table = tabled._period[0]
-        assert len(table) == 2 and tabled.field.values is table[(tabled._steps - base) % 2]
+        _, base, table = tabled.plume._period[0]
+        assert len(table) == 2 and tabled.field.values is table[(tabled.plume.steps - base) % 2]
 
     def test_the_upwind_search_finds_the_period_of_12_steps(self, monkeypatch):
         calls = _solver_calls(monkeypatch)
         mission = Mission(MissionGoal(_upwind_search()))
         mission.run()
-        _, base, table = mission._period[0]
-        assert len(table) == 12 and mission.field.values is table[(mission._steps - base) % 12]
+        _, base, table = mission.plume._period[0]
+        assert len(table) == 12 and mission.field.values is table[(mission.plume.steps - base) % 12]
         assert all(not values.flags.writeable for values in table)
         # 19 legs stepped, 11 single steps recorded the period, and the
         # remaining 81 legs read it
@@ -605,10 +649,10 @@ class TestPlumeCycle:
         monkeypatch.setattr(mission_module, "CYCLE_TABLE_CELLS", 12 * 5000 - 1)
         mission = Mission(MissionGoal(sc))
         record = _mission_record(mission)
-        assert mission._period[0] is None
+        assert mission.plume._period[0] is None
         monkeypatch.setattr(mission_module, "CYCLE_TABLE_CELLS", 12 * 5000)
         mission = Mission(MissionGoal(sc))
-        assert _mission_record(mission) == record and len(mission._period[0][2]) == 12
+        assert _mission_record(mission) == record and len(mission.plume._period[0][2]) == 12
 
     def test_fields_that_differ_in_the_sign_of_a_zero_do_not_match(self):
         a = np.array([[0.0, 1.5], [2.0, 3.0]])
@@ -655,10 +699,10 @@ class TestSharedPeriod:
             calls.clear()
             mission = Mission(MissionGoal(sc))
             assert _mission_record(mission) == reference
-            seen.append(((len(calls), sum(calls)), mission._period[0][0]))
+            seen.append(((len(calls), sum(calls)), mission.plume._period[0][0]))
         assert seen == list(zip(counts, onsets))
-        onset, base, table = mission._period[0]
-        warm = field_module.warm_field(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)
+        onset, base, table = mission.plume._period[0]
+        warm = mission_module.Plume(sc).field
         stepped = step(warm, sc.flow, sc.source, sc.dt, onset)
         assert table[(onset - base) % len(table)].tobytes() == stepped.values.tobytes()
 
@@ -669,40 +713,134 @@ class TestSharedPeriod:
         sc = _upwind_search()
         reference = self._stepped_reference(dataclasses.replace(sc, measure_mode=second))
         Mission(MissionGoal(dataclasses.replace(sc, measure_mode=first))).run()
-        record = field_module._warmed(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)[2][0]
+        record = mission_module._warmed(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)[2][0]
         assert record is not None
         calls = _solver_calls(monkeypatch)
         mission = Mission(MissionGoal(dataclasses.replace(sc, measure_mode=second)))
         assert _mission_record(mission) == reference
         # it recorded nothing, and read its later legs from the record
-        assert mission._period[0][2] is record[2] and sum(calls) < mission._steps
+        assert mission.plume._period[0][2] is record[2] and sum(calls) < mission.plume.steps
 
     def test_a_table_limit_of_zero_steps_every_leg_of_a_recorded_plume(self, monkeypatch):
         sc = _upwind_search()
         tabled = Mission(MissionGoal(sc))
         reference = _mission_record(tabled)
-        record = tabled._period[0]
+        record = tabled.plume._period[0]
         monkeypatch.setattr(mission_module, "CYCLE_TABLE_CELLS", 0)
         calls = _solver_calls(monkeypatch)
         mission = Mission(MissionGoal(sc))
         assert _mission_record(mission) == reference
-        assert sum(calls) == mission._steps and mission._period[0] is record
+        assert sum(calls) == mission.plume.steps and mission.plume._period[0] is record
 
     def test_missions_on_threads_and_a_search_after_eviction(self, monkeypatch):
         sc = _upwind_search()
         reference = self._stepped_reference(sc)
-        field_module._warmed.cache_clear()
+        mission_module._warmed.cache_clear()
         missions = [Mission(MissionGoal(sc)) for _ in range(2)]
         for mission in missions:
             mission.start()
         assert [_mission_record(mission) for mission in missions] == [reference] * 2
         # four other warm plumes evict this one's entry and its record
         for duration in (1.0, 2.0, 3.0, 4.0):
-            field_module.warm_field(sc.geometry, sc.flow, sc.source, duration, sc.dt)
+            mission_module._warmed(sc.geometry, sc.flow, sc.source, duration, sc.dt)
         calls = _solver_calls(monkeypatch)
         mission = Mission(MissionGoal(sc))
-        assert mission._period[0] is None
+        assert mission.plume._period[0] is None
         assert _mission_record(mission) == reference and len(calls) == 30
+
+
+def _bits_and_time(field):
+    return hashlib.sha256(field.values.tobytes()).digest(), field.time
+
+
+class _Chain:
+    """The fields of one-step calls from a fresh warm-up, as (digest of the
+    bits, time) per step count, extended on demand."""
+
+    def __init__(self, sc):
+        self.sc = sc
+        self.field = run_warmup(init_field(sc.geometry), sc.flow, sc.source, sc.warmup_s, sc.dt)
+        self.seen = [_bits_and_time(self.field)]
+
+    def __getitem__(self, n):
+        while len(self.seen) <= n:
+            self.field = step(self.field, self.sc.flow, self.sc.source, self.sc.dt)
+            self.seen.append(_bits_and_time(self.field))
+        return self.seen[n]
+
+
+# With no diffusion the small plume repeats every 2 steps from step 63, and
+# dt = 0.9 s sums inexactly; the upwind plume repeats every 12 steps from
+# step 29.
+_PLUMES = {
+    "small": lambda: small_scenario(flow={"lambda": 0.0}, sim={"dt": 0.9}),
+    "upwind": lambda: parse_scenario("scenario_upwind"),
+}
+_CHAINS = {}
+
+
+@pytest.mark.usefixtures("no_warm_plumes")
+class TestPlume:
+    """Plume.advance on leg patterns no mission makes."""
+
+    @pytest.mark.parametrize("name", sorted(_PLUMES))
+    @settings(max_examples=25, deadline=None)
+    @given(plans=st.lists(st.lists(st.integers(1, 40), max_size=30), min_size=2, max_size=3))
+    # on the upwind plume, legs of 2 steps find the period with onset 30,
+    # and later legs end on it, straddle it and outlast the period; legs of 3
+    # find it with onset 45, a leg to step 29 lowers that, and later legs
+    # end just before it and on it
+    @example(plans=[[2] * 21, [30, 13], [28, 14]])
+    @example(plans=[[3] * 19, [20, 9, 1, 40], [28, 1]])
+    def test_each_leg_equals_chained_one_step_calls(self, name, plans):
+        # Plumes of one warm plume, one after another: the first finds the
+        # period, and later ones read it or lower its onset
+        sc = _PLUMES[name]()
+        if name not in _CHAINS:
+            _CHAINS[name] = _Chain(sc)
+        chain = _CHAINS[name]
+        mission_module._warmed.cache_clear()
+        for legs in plans:
+            plume = mission_module.Plume(sc)
+            n, time = 0, plume.field.time
+            for steps in legs:
+                for _ in range(steps):
+                    time += sc.dt
+                n += steps
+                field = plume.advance(steps, time)
+                assert field is plume.field and _bits_and_time(field) == chain[n]
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_an_onset_lowered_during_a_leg_is_not_raised(self, monkeypatch, recorded):
+        # The upwind plume repeats from step 29. Legs of one step find its
+        # period at step 43, onset 31; with a record of onset 151, legs to 20
+        # and 38 step, and the second one's end matches it. During that last
+        # leg another Plume lowers the onset to 29.
+        sc = parse_scenario("scenario_upwind")
+        finder = mission_module.Plume(sc)
+        for _ in range(43):
+            finder.advance(1, finder.field.time + sc.dt)
+        onset, base, table = finder._period[0]
+        assert onset == 31
+        mission_module._warmed.cache_clear()
+        plume = mission_module.Plume(sc)
+        legs = [1] * 43
+        if recorded:
+            plume._period[0] = (151, base, table)
+            legs = [20, 18]
+        lowered = (29, base, table)
+        field_step = mission_module.field_step
+
+        def lowering(*args):
+            if plume.steps == sum(legs):
+                plume._period[0] = lowered
+            return field_step(*args)
+
+        monkeypatch.setattr(mission_module, "field_step", lowering)
+        for steps in legs:
+            plume.advance(steps, plume.field.time + steps * sc.dt)
+        assert plume.field.values.tobytes() == table[(sum(legs) - base) % 12].tobytes()
+        assert plume._period[0] is lowered
 
 
 # Numbers a draw may put in place of a sane one: signed zeros, subnormals,
