@@ -61,7 +61,7 @@ class MeasurementContext:
 
     def __post_init__(self):
         norm = float(np.hypot(*self.v_hat))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise ValueError(f"v_hat must be a unit vector, |v_hat| = {norm}")
 
 

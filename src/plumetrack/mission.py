@@ -19,9 +19,10 @@ last_hit moves.
 
 The plume never depends on the vehicle, so a Plume holds it: the field, its
 solver steps since the warm field, and Brent's search for an exact period of
-the stepped fields, bit for bit. The Plumes of one warm plume in a process
-share the period record one of them finds, and serve each leg that ends at
-or past its onset from it, with the bits and times stepping gives.
+the stepped fields, bit for bit, and for its exact onset. The Plumes of one
+warm plume in a process share the period record: whichever finds it makes
+the same one, written once. Each serves every leg that ends at or past the
+onset from it, with the bits and times stepping gives.
 
 Everything in the loop is deterministic for a fixed (scenario, seed): the
 random generator is consumed only by sensor noise, which defaults to off.
@@ -327,9 +328,6 @@ def _warmed(geometry, flow, source, duration, dt):
     return field.values, field.time, [None]
 
 
-_record_lock = threading.Lock()  # Plumes on several threads write one record
-
-
 class Plume:
     """One mission's plume: its field and solver steps since the warm field.
     Plumes of an equal scenario in one process share one spin-up, bit for
@@ -338,7 +336,7 @@ class Plume:
     def __init__(self, scenario: Scenario):
         sc = self._scenario = scenario
         values, time, self._period = _warmed(sc.geometry, sc.flow, sc.source, sc.warmup_s, sc.dt)
-        self.field = ScalarField(sc.geometry, values, time)
+        self.field = self._warm = ScalarField(sc.geometry, values, time)
         self.steps = 0
         # without a period record, Brent's cycle search over the leg-end
         # fields: the anchor, the legs and solver steps since it, and the
@@ -352,36 +350,31 @@ class Plume:
         record if the leg ends at or past its onset, else stepped.
 
         A step's values depend only on the values before it, the flow, the
-        source and dt. The record (onset, base, table) holds the fields of
-        the shortest period P: for every n >= onset, table[(n - base) % P]
-        is the field n solver steps after the warm field. A stepped leg end
-        that equals its entry holds from its own n, which becomes the onset.
-        Without a record, a leg end whose bits equal the anchor's, `since`
-        steps after it, proves the field repeats every `since` steps. If that
-        many fields of the grid fit CYCLE_TABLE_CELLS, the fields of the
-        shortest period from this one are recorded by single steps, and as P
-        divides `since`, the record holds from the anchor on.
+        source and dt. The record (onset, table) holds the fields of the
+        shortest period P from the first step count whose field recurs: for
+        every n >= onset, table[(n - onset) % P] is the field n solver steps
+        after the warm field. Without a record, a leg end whose bits equal
+        the anchor's, `since` steps after it, proves the field repeats every
+        `since` steps. If that many fields of the grid fit CYCLE_TABLE_CELLS,
+        the record is made (_record_period) and stored. Every Plume that
+        makes it makes the same one, so it is written once and never changed.
         """
         sc = self._scenario
         n = self.steps = self.steps + steps
         record = self._period[0]
-        if record is not None and len(record[2]) * sc.geometry.k <= CYCLE_TABLE_CELLS:
-            onset, base, table = record
-            values = table[(n - base) % len(table)]
-            if n >= onset:
-                self.field = ScalarField(sc.geometry, values, time)
-                return self.field
-            self.field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
-            if _same_bits(self.field.values, values):
-                self._keep_earliest((n, base, table))
+        if record is not None and n >= record[0]:
+            onset, table = record
+            self.field = ScalarField(sc.geometry, table[(n - onset) % len(table)], time)
             return self.field
         self.field = field_step(self.field, sc.flow, sc.source, sc.dt, steps)
+        if record is not None:
+            return self.field
         self._legs += 1
         self._since += steps
         if _same_bits(self.field.values, self._anchor) and (
             self._since * sc.geometry.k <= CYCLE_TABLE_CELLS
         ):
-            self._keep_earliest((n - self._since, n, self._record_period(self._since)))
+            self._period[0] = self._record_period(self._since)
         elif self._legs == self._power:
             # the solver never writes an array it has returned
             self._anchor = self.field.values
@@ -390,8 +383,11 @@ class Plume:
         return self.field
 
     def _record_period(self, steps) -> tuple:
-        """The read-only fields of one period from the field, which recurs
-        after `steps` steps, cut at its first return."""
+        """The record (onset, table) of the field, which recurs after `steps`
+        steps: the fields of one period by single steps, cut at its first
+        return, then single steps from the warm field to the first field on
+        that period, the onset (Brent's second phase). The anchor lies on it,
+        so that walk ends at the latest at the anchor's step count."""
         sc = self._scenario
         field = self.field
         cycle = [field.values]
@@ -400,17 +396,15 @@ class Plume:
             if _same_bits(field.values, cycle[0]):
                 break
             cycle.append(field.values)
-        for values in cycle:
+        position = {values.tobytes(): i for i, values in enumerate(cycle)}
+        field, onset = self._warm, 0
+        while (i := position.get(field.values.tobytes())) is None:
+            field = field_step(field, sc.flow, sc.source, sc.dt)
+            onset += 1
+        table = cycle[i:] + cycle[:i]
+        for values in table:
             values.setflags(write=False)
-        return tuple(cycle)
-
-    def _keep_earliest(self, record):
-        """Replace the held record, read again as another thread may have
-        lowered its onset, only by one with an earlier onset."""
-        with _record_lock:
-            held = self._period[0]
-            if held is None or record[0] < held[0]:
-                self._period[0] = record
+        return onset, tuple(table)
 
 
 def _same_bits(a, b) -> bool:

@@ -51,7 +51,7 @@ def take_reading(
     """
     if not threshold > 0:
         raise ValueError(f"sonde threshold must be positive, got {threshold}")
-    if noise_std < 0:
+    if not noise_std >= 0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     c = sample_concentration(field, position)
     if noise_std > 0:

@@ -422,3 +422,10 @@ class TestNonFiniteRejected:
     def test_rejected(self, make, values):
         with pytest.raises(ValueError):
             make(values)
+
+    @pytest.mark.parametrize(
+        "v_hat", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)], ids=str
+    )
+    def test_measurement_context_rejects_a_nan_direction(self, v_hat):
+        with pytest.raises(ValueError, match="unit vector"):
+            MeasurementContext((0.0, 0.0), v_hat)

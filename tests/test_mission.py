@@ -583,8 +583,10 @@ def _solver_calls(monkeypatch):
 
 def _tabled_and_stepped(sc):
     """A mission of sc with the plume's period record, and one stepping
-    every leg."""
+    every leg: built after a cache clear, so that no record made earlier in
+    the process serves it."""
     tabled = Mission(MissionGoal(sc))
+    mission_module._warmed.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mission_module, "CYCLE_TABLE_CELLS", 0)
         calls = _solver_calls(mp)
@@ -628,19 +630,20 @@ class TestPlumeCycle:
         sc = small_scenario(flow={"lambda": 0.0}, sim={"dt": 0.3})
         tabled, record, stepped = _tabled_and_stepped(sc)
         assert record == stepped
-        _, base, table = tabled.plume._period[0]
-        assert len(table) == 2 and tabled.field.values is table[(tabled.plume.steps - base) % 2]
+        onset, table = tabled.plume._period[0]
+        assert len(table) == 2 and tabled.field.values is table[(tabled.plume.steps - onset) % 2]
 
     def test_the_upwind_search_finds_the_period_of_12_steps(self, monkeypatch):
         calls = _solver_calls(monkeypatch)
         mission = Mission(MissionGoal(_upwind_search()))
         mission.run()
-        _, base, table = mission.plume._period[0]
-        assert len(table) == 12 and mission.field.values is table[(mission.plume.steps - base) % 12]
+        onset, table = mission.plume._period[0]
+        assert onset == 29
+        assert len(table) == 12 and mission.field.values is table[(mission.plume.steps - onset) % 12]
         assert all(not values.flags.writeable for values in table)
-        # 19 legs stepped, 11 single steps recorded the period, and the
-        # remaining 81 legs read it
-        assert len(calls) == 30 and calls[19:] == [1] * 11
+        # 19 legs stepped, 11 single steps recorded the period, 29 more from
+        # the warm field found its onset, and the remaining 81 legs read it
+        assert len(calls) == 59 and calls[19:] == [1] * 40
 
     def test_a_period_over_the_budget_is_not_tabled(self, monkeypatch):
         # a table of the upwind plume's 12-step period on 5,000 cells holds
@@ -652,7 +655,7 @@ class TestPlumeCycle:
         assert mission.plume._period[0] is None
         monkeypatch.setattr(mission_module, "CYCLE_TABLE_CELLS", 12 * 5000)
         mission = Mission(MissionGoal(sc))
-        assert _mission_record(mission) == record and len(mission.plume._period[0][2]) == 12
+        assert _mission_record(mission) == record and len(mission.plume._period[0][1]) == 12
 
     def test_fields_that_differ_in_the_sign_of_a_zero_do_not_match(self):
         a = np.array([[0.0, 1.5], [2.0, 3.0]])
@@ -667,7 +670,7 @@ class TestPlumeCycle:
 @pytest.mark.usefixtures("no_warm_plumes")
 class TestSharedPeriod:
     """The missions of one warm plume share its period record, each from
-    the first leg it is known to hold."""
+    the first leg that ends at or past its onset."""
 
     @staticmethod
     def _stepped_reference(sc):
@@ -678,14 +681,13 @@ class TestSharedPeriod:
     @pytest.mark.parametrize(
         "mode, counts, onsets",
         [
-            # the first mission finds the period at step 163 (onset 151) and
-            # records it in 11 single steps; the second steps two legs, to 20
-            # and 38, where its leg end matches the record; the third steps
-            # to 20
-            ("on_arrival", [(30, 174), (2, 38), (1, 20)], [151, 38, 38]),
-            # legs of one step: the second mission's leg end matches at step
-            # 29, where the plume starts to repeat, and the third steps to 28
-            ("continuous", [(54, 54), (29, 29), (28, 28)], [31, 29, 29]),
+            # the first mission finds the period at step 163, records it in
+            # 11 single steps and finds its onset, 29, in 29 more; the others
+            # step one leg, to 20, and read the next, to 38, from the record
+            ("on_arrival", [(59, 203), (1, 20), (1, 20)], [29, 29, 29]),
+            # legs of one step: the first mission finds the period at step 43,
+            # and the others step to 28, the last step before the onset
+            ("continuous", [(83, 83), (28, 28), (28, 28)], [29, 29, 29]),
         ],
     )
     def test_repeated_upwind_searches_read_the_first_ones_period(
@@ -701,10 +703,10 @@ class TestSharedPeriod:
             assert _mission_record(mission) == reference
             seen.append(((len(calls), sum(calls)), mission.plume._period[0][0]))
         assert seen == list(zip(counts, onsets))
-        onset, base, table = mission.plume._period[0]
+        onset, table = mission.plume._period[0]
         warm = mission_module.Plume(sc).field
         stepped = step(warm, sc.flow, sc.source, sc.dt, onset)
-        assert table[(onset - base) % len(table)].tobytes() == stepped.values.tobytes()
+        assert table[0].tobytes() == stepped.values.tobytes()
 
     @pytest.mark.parametrize(
         "first, second", [("continuous", "on_arrival"), ("on_arrival", "continuous")]
@@ -719,18 +721,7 @@ class TestSharedPeriod:
         mission = Mission(MissionGoal(dataclasses.replace(sc, measure_mode=second)))
         assert _mission_record(mission) == reference
         # it recorded nothing, and read its later legs from the record
-        assert mission.plume._period[0][2] is record[2] and sum(calls) < mission.plume.steps
-
-    def test_a_table_limit_of_zero_steps_every_leg_of_a_recorded_plume(self, monkeypatch):
-        sc = _upwind_search()
-        tabled = Mission(MissionGoal(sc))
-        reference = _mission_record(tabled)
-        record = tabled.plume._period[0]
-        monkeypatch.setattr(mission_module, "CYCLE_TABLE_CELLS", 0)
-        calls = _solver_calls(monkeypatch)
-        mission = Mission(MissionGoal(sc))
-        assert _mission_record(mission) == reference
-        assert sum(calls) == mission.plume.steps and mission.plume._period[0] is record
+        assert mission.plume._period[0][1] is record[1] and sum(calls) < mission.plume.steps
 
     def test_missions_on_threads_and_a_search_after_eviction(self, monkeypatch):
         sc = _upwind_search()
@@ -746,7 +737,7 @@ class TestSharedPeriod:
         calls = _solver_calls(monkeypatch)
         mission = Mission(MissionGoal(sc))
         assert mission.plume._period[0] is None
-        assert _mission_record(mission) == reference and len(calls) == 30
+        assert _mission_record(mission) == reference and len(calls) == 59
 
 
 def _bits_and_time(field):
@@ -770,13 +761,22 @@ class _Chain:
 
 
 # With no diffusion the small plume repeats every 2 steps from step 63, and
-# dt = 0.9 s sums inexactly; the upwind plume repeats every 12 steps from
-# step 29.
+# dt = 0.9 s sums inexactly; spun up for 180 s, it repeats from the warm
+# field on. The upwind plume repeats every 12 steps from step 29.
 _PLUMES = {
     "small": lambda: small_scenario(flow={"lambda": 0.0}, sim={"dt": 0.9}),
+    "small_repeating": lambda: small_scenario(
+        flow={"lambda": 0.0}, sim={"dt": 0.9, "warmup_s": 180.0}
+    ),
     "upwind": lambda: parse_scenario("scenario_upwind"),
 }
 _CHAINS = {}
+
+
+def _chain(name):
+    if name not in _CHAINS:
+        _CHAINS[name] = _Chain(_PLUMES[name]())
+    return _CHAINS[name]
 
 
 @pytest.mark.usefixtures("no_warm_plumes")
@@ -786,19 +786,16 @@ class TestPlume:
     @pytest.mark.parametrize("name", sorted(_PLUMES))
     @settings(max_examples=25, deadline=None)
     @given(plans=st.lists(st.lists(st.integers(1, 40), max_size=30), min_size=2, max_size=3))
-    # on the upwind plume, legs of 2 steps find the period with onset 30,
-    # and later legs end on it, straddle it and outlast the period; legs of 3
-    # find it with onset 45, a leg to step 29 lowers that, and later legs
-    # end just before it and on it
-    @example(plans=[[2] * 21, [30, 13], [28, 14]])
+    # on the upwind plume, which repeats from step 29, legs of 2 and of 3
+    # find the period, and later legs end on the onset, just before it and
+    # past it, straddle it and outlast the period
+    @example(plans=[[2] * 21, [29, 13], [28, 14]])
     @example(plans=[[3] * 19, [20, 9, 1, 40], [28, 1]])
     def test_each_leg_equals_chained_one_step_calls(self, name, plans):
         # Plumes of one warm plume, one after another: the first finds the
-        # period, and later ones read it or lower its onset
+        # period, and later ones step to its onset and read it from there
         sc = _PLUMES[name]()
-        if name not in _CHAINS:
-            _CHAINS[name] = _Chain(sc)
-        chain = _CHAINS[name]
+        chain = _chain(name)
         mission_module._warmed.cache_clear()
         for legs in plans:
             plume = mission_module.Plume(sc)
@@ -810,37 +807,30 @@ class TestPlume:
                 field = plume.advance(steps, time)
                 assert field is plume.field and _bits_and_time(field) == chain[n]
 
-    @pytest.mark.parametrize("recorded", [False, True])
-    def test_an_onset_lowered_during_a_leg_is_not_raised(self, monkeypatch, recorded):
-        # The upwind plume repeats from step 29. Legs of one step find its
-        # period at step 43, onset 31; with a record of onset 151, legs to 20
-        # and 38 step, and the second one's end matches it. During that last
-        # leg another Plume lowers the onset to 29.
-        sc = parse_scenario("scenario_upwind")
-        finder = mission_module.Plume(sc)
-        for _ in range(43):
-            finder.advance(1, finder.field.time + sc.dt)
-        onset, base, table = finder._period[0]
-        assert onset == 31
-        mission_module._warmed.cache_clear()
-        plume = mission_module.Plume(sc)
-        legs = [1] * 43
-        if recorded:
-            plume._period[0] = (151, base, table)
-            legs = [20, 18]
-        lowered = (29, base, table)
-        field_step = mission_module.field_step
-
-        def lowering(*args):
-            if plume.steps == sum(legs):
-                plume._period[0] = lowered
-            return field_step(*args)
-
-        monkeypatch.setattr(mission_module, "field_step", lowering)
-        for steps in legs:
-            plume.advance(steps, plume.field.time + steps * sc.dt)
-        assert plume.field.values.tobytes() == table[(sum(legs) - base) % 12].tobytes()
-        assert plume._period[0] is lowered
+    @pytest.mark.parametrize("name", sorted(_PLUMES))
+    @settings(max_examples=15, deadline=None)
+    @given(plans=st.lists(st.lists(st.integers(1, 40), max_size=30), min_size=2, max_size=3))
+    def test_every_plan_records_the_period_from_its_exact_onset(self, name, plans):
+        # each plan's Plume is alone in the process and takes its legs, then
+        # legs of one step, until it has recorded the period
+        sc = _PLUMES[name]()
+        chain = _chain(name)
+        tables = set()
+        for legs in plans:
+            mission_module._warmed.cache_clear()
+            plume = mission_module.Plume(sc)
+            for steps in itertools.chain(legs, itertools.repeat(1, 400)):
+                if plume._period[0] is not None:
+                    break
+                plume.advance(steps, plume.field.time + steps * sc.dt)
+            assert plume._period[0] is not None
+            onset, table = plume._period[0]
+            digests = [hashlib.sha256(values.tobytes()).digest() for values in table]
+            assert chain[onset][0] == digests[0]
+            if onset > 0:
+                assert chain[onset - 1][0] not in digests
+            tables.add(b"".join(values.tobytes() for values in table))
+        assert len(tables) == 1
 
 
 # Numbers a draw may put in place of a sane one: signed zeros, subnormals,

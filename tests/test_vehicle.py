@@ -80,6 +80,7 @@ def test_reading_threshold_is_inclusive():
         (-1.0, 0.0, "threshold must be positive"),
         (math.nan, 0.0, "threshold must be positive"),
         (1.0, -0.1, "noise_std must be >= 0"),
+        (1.0, math.nan, "noise_std must be >= 0"),
     ],
 )
 def test_reading_rejects_bad_sonde_settings(threshold, noise_std, message):
