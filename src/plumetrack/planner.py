@@ -46,8 +46,16 @@ wide window or a radius past the grid cannot hold C * nx * ny numbers at
 once; the bundled scenarios fit one chunk. The scores are two float64
 arrays, ig and p_hit, aligned with the list of candidate cells, so scoring
 and selection build no object per candidate.
-score_candidates keeps nothing between calls; a mission keeps the windows
-it scored for its current belief (see the mission module).
+
+A cell's ig and p_hit depend on the belief, v_hat, last_hit and the params,
+not on the vehicle's cell. So a CellScores holds them for one such set, as
+(ny, nx) grids with a mask of the cells scored, beside the belief's anchored
+sums. score_candidates reads a window's known cells from it and passes only
+the rest to the pass, in window order. It returns fresh read-only copies; a
+call without a CellScores uses a fresh one. A row of the pass does not
+depend on the other cells of its chunk, so every window holds the bits that
+scoring it whole gives. A mission keeps one per belief and last_hit (see the
+mission module).
 """
 
 import math
@@ -282,15 +290,15 @@ def _block_kls(geom: GridGeometry, tables, cells, ctx: MeasurementContext, r: in
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerParams):
+def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerParams, tables):
     """(ig, p_hit) arrays of the given cells, in their order, from their
-    covered blocks (see the module docstring), in chunks of candidates."""
+    covered blocks (see the module docstring), in chunks of candidates;
+    tables are the belief's _anchored_sums."""
     geom = belief.geometry
     # a block stops at the grid, and so does a larger radius, which int64 may not hold
     r = min(params.local_radius_cells, max(geom.nx, geom.ny))
     block = min(2 * r + 1, geom.ny) * min(2 * r + 1, geom.nx)
     per_chunk = max(_BLOCK_ELEMENTS, geom.k) // block
-    tables = _anchored_sums(belief.probs)
     ig, p_hit = np.empty(len(cells)), np.empty(len(cells))
     for start in range(0, len(cells), per_chunk):
         part = slice(start, start + per_chunk)
@@ -300,17 +308,44 @@ def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerPa
     return ig, p_hit
 
 
+class CellScores:
+    """The ig and p_hit of the cells scored so far for one belief, v_hat,
+    last_hit and params, as (ny, nx) grids with a mask of the scored cells,
+    and the belief's _anchored_sums. A cell's scores do not depend on the
+    vehicle's cell, so the windows of one belief share them; whoever keeps
+    one renews it when any of the four changes."""
+
+    def __init__(self, belief: GridBelief):
+        self.tables = _anchored_sums(belief.probs)
+        self.ig, self.p_hit = np.empty((2, *belief.probs.shape))
+        self.known = np.zeros(belief.probs.shape, dtype=bool)
+
+
 def score_candidates(
     belief: GridBelief,
     usv_cell: tuple[int, int],
     ctx: MeasurementContext,
     params: PlannerParams,
+    scored: CellScores | None = None,
 ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """(cells, ig, p_hit): the candidate_waypoints cells around usv_cell and
     two read-only float64 arrays holding each cell's gain and hit
-    probability, in that order."""
+    probability, in that order. Cells that scored holds are read from it;
+    the rest are scored, in window order, and added to it. A call without
+    scored uses a fresh CellScores."""
     cells = candidate_waypoints(belief.geometry, usv_cell, params)
-    ig, p_hit = _score(belief, cells, ctx, params)
+    if scored is None:
+        scored = CellScores(belief)
+    ci, cj = np.array(cells, dtype=int).reshape(-1, 2).T
+    new = np.flatnonzero(~scored.known[cj, ci])
+    if len(new):
+        at = cj[new], ci[new]
+        scored.ig[at], scored.p_hit[at] = _score(
+            belief, [cells[c] for c in new], ctx, params, scored.tables
+        )
+        scored.known[at] = True
+    # integer indexing copies, so a window never shares the grids' memory
+    ig, p_hit = scored.ig[cj, ci], scored.p_hit[cj, ci]
     ig.setflags(write=False)
     p_hit.setflags(write=False)
     return cells, ig, p_hit

@@ -281,24 +281,45 @@ def test_goal_validation():
         MissionGoal.for_scenario(sc, max_updates=-1)
 
 
-def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
-    # before the first detection a miss leaves the belief as it was, so the
-    # vehicle circles on one belief and 100 plan calls see 11 windows
+def _scored_cells(monkeypatch):
+    """The list of cells planner._score receives, one entry per call."""
     score = planner._score
     calls = []
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(list(args[1]))
         return score(*args)
 
     monkeypatch.setattr(planner, "_score", counted)
+    return calls
+
+
+def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
+    # before the first detection a miss leaves the belief as it was, so the
+    # vehicle circles on one belief: its 11 windows hold 1,320 candidates, of
+    # which 719 are distinct cells, each scored once
+    calls = _scored_cells(monkeypatch)
     goal = MissionGoal.for_scenario(parse_scenario("scenario_upwind"), max_updates=100)
     mission = Mission(goal)
     start = mission.belief
     result = mission.run()
     assert result.updates == 100
     assert mission.belief is start
+    cells = [cell for call in calls for cell in call]
     assert len(calls) <= 11
+    assert len(cells) == len(set(cells)) == 719
+
+
+@pytest.mark.parametrize(
+    "name, calls, cells", [("scenario_a", 31, 3665), ("scenario_b", 34, 4025)]
+)
+def test_a_tracking_run_scores_every_window_once(monkeypatch, name, calls, cells):
+    # the belief changes at every update, so no cell score carries over from
+    # one plan to the next: a memo that scored more would show here
+    scored = _scored_cells(monkeypatch)
+    result = Mission(MissionGoal(parse_scenario(name))).run()
+    assert result.status is MissionStatus.SUCCEEDED
+    assert (len(scored), sum(map(len, scored))) == (calls, cells)
 
 
 def test_search_without_detection_does_no_belief_work(monkeypatch):
@@ -378,16 +399,32 @@ class TestBeliefMemo:
         monkeypatch.setattr(mission_module, "bayes_update", degenerate)
         sc = small_scenario() if name == "small" else parse_scenario("scenario_a")
         mission = Mission(MissionGoal.for_scenario(sc, max_updates=40), collect_trace=True)
+        scored_at = {}  # cell -> the plan steps whose _score call took it
+        score = planner._score
+
+        def counted(*args):
+            for cell in args[1]:
+                scored_at.setdefault(cell, []).append(len(mission.log.trace) + 1)
+            return score(*args)
+
+        monkeypatch.setattr(planner, "_score", counted)
         start = mission.belief
         mission.run()
         assert mission.belief is start
         trace, rows = mission.log.trace, mission.log.trajectory
         assert len(trace) == 40 and any(row[4] for row in rows)
         v_hat, last_hit, detections, held = sc.flow.direction(), None, 0, {}
+        detected = 0  # the step of the last detection
+        overlapping = 0  # windows holding a cell scored before the last detection
         for step, scores, _ in trace:
             _, x, y, _, z, *_ = rows[step - 1]
             if z:
-                last_hit, detections = (x, y), detections + 1
+                last_hit, detections, detected = (x, y), detections + 1, step
+            # each cell's scores come from a _score call since the last
+            # detection, also where an earlier window scored the cell before it
+            for cell in scores[0]:
+                assert any(detected <= s <= step for s in scored_at[cell]), (step, cell)
+            overlapping += any(s < detected for cell in scores[0] for s in scored_at[cell])
             cell = sc.geometry.cell_of((x, y))
             ctx = MeasurementContext((x, y), v_hat, last_hit)
             cells, *want = planner.score_candidates(start, cell, ctx, sc.planner)
@@ -397,6 +434,7 @@ class TestBeliefMemo:
             # one tuple per window between two detections, a new one after
             assert held.setdefault((detections, cell), scores) is scores
         assert len({id(scores) for _, scores, _ in trace}) == len(held)
+        assert overlapping
 
 
 def test_untraced_mission_keeps_no_trace():

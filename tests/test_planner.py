@@ -747,18 +747,81 @@ class TestBatchedScoring:
             mass = planner._clamped_mass(tables, rows, cols)
             assert mass.tobytes() == four_index_clamped_mass(tables, rows, cols).tobytes()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(planner, "_anchored_sums", flip_copy_anchored_sums)
             mp.setattr(planner, "_clamped_mass", four_index_clamped_mass)
             mp.setattr(planner, "_hit_probabilities", reversed_slice_p_hit)
-            want = planner._score(belief, cells, ctx, params)
+            want = planner._score(
+                belief, cells, ctx, params, flip_copy_anchored_sums(belief.probs)
+            )
         # a budget of one element scores a block the size of the grid, as a
         # radius past it gives, one candidate per chunk
         for budget in (planner._BLOCK_ELEMENTS, 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(planner, "_BLOCK_ELEMENTS", budget)
-                got = planner._score(belief, cells, ctx, params)
+                got = planner._score(belief, cells, ctx, params, tables)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(scoring_cases(), st.data())
+    def test_windows_of_one_cell_memo_equal_fresh_windows(self, case, data):
+        # windows around corners, around nearby cells (overlapping), around
+        # any cells (often disjoint), and windows wider than the grid, all
+        # read from one CellScores; each new cell is scored once, in window
+        # order, and a window never changes once returned
+        belief, usv_cell, ctx, params = case
+        geom = belief.geometry
+        nx, ny = geom.nx, geom.ny
+        r = params.window_cells // 2
+        cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+        near = st.tuples(st.integers(-r, r), st.integers(-r, r)).map(
+            lambda d: (
+                min(max(usv_cell[0] + d[0], 0), nx - 1),
+                min(max(usv_cell[1] + d[1], 0), ny - 1),
+            )
+        )
+        corners = st.sampled_from([(0, 0), (nx - 1, 0), (0, ny - 1), (nx - 1, ny - 1)])
+        usv_cells = [usv_cell] + data.draw(
+            st.lists(st.one_of(corners, near, cell), min_size=1, max_size=3)
+        )
+        wide = 2 * max(nx, ny) + 1
+        window = data.draw(st.sampled_from([params.window_cells, wide]))
+        params = replace(params, window_cells=window)
+        point = ctx.last_hit_pos or geom.cell_center(*data.draw(cell))
+        score, calls = planner._score, []
+
+        def counted(*args):
+            calls.append(args[1])
+            return score(*args)
+
+        for last_hit in (None, point):
+            at = replace(ctx, last_hit_pos=last_hit)
+            for budget in (planner._BLOCK_ELEMENTS, 1):
+                calls.clear()
+                memo, windows = planner.CellScores(belief), []
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(planner, "_BLOCK_ELEMENTS", budget)
+                    fresh = [score_candidates(belief, u, at, params) for u in usv_cells]
+                    mp.setattr(planner, "_score", counted)
+                    for u in usv_cells:
+                        cells, ig, p_hit = score_candidates(belief, u, at, params, memo)
+                        # with the bits of the window when it was returned
+                        windows.append((cells, ig, p_hit, ig.tobytes(), p_hit.tobytes()))
+                seen, expected = set(), []
+                for (cells, *want), (got_cells, ig, p_hit, ig_bytes, p_hit_bytes) in zip(
+                    fresh, windows
+                ):
+                    assert got_cells == cells
+                    assert (ig_bytes, p_hit_bytes) == tuple(w.tobytes() for w in want)
+                    # unchanged by the later windows, read-only and not the grids
+                    assert (ig.tobytes(), p_hit.tobytes()) == (ig_bytes, p_hit_bytes)
+                    for a in (ig, p_hit):
+                        assert not a.flags.writeable
+                        assert not np.shares_memory(a, memo.ig)
+                        assert not np.shares_memory(a, memo.p_hit)
+                    if new := [c for c in cells if c not in seen]:
+                        expected.append(new)
+                        seen.update(new)
+                assert calls == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -787,10 +850,11 @@ class TestBatchedScoring:
         ctx = MeasurementContext(
             geom.cell_center(*cells[0]), v_hat, geom.cell_center(*cells[-1])
         )
-        want = planner._score(belief, cells, ctx, params)
+        tables = planner._anchored_sums(belief.probs)
+        want = planner._score(belief, cells, ctx, params, tables)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(planner, "_on_lattice", lambda geometry, r: False)
-            got = planner._score(belief, cells, ctx, params)
+            got = planner._score(belief, cells, ctx, params, tables)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
