@@ -15,10 +15,12 @@ that constant likelihood. One memo holds the work done per belief: the point
 estimate, the SCI widths, a planner.CellScores that the windows share, and the
 scores and selected waypoint of each window planned from (the selection
 depends only on the scores and the vehicle's cell). It is renewed on a new
-belief object or a detection, the only time last_hit moves. So the 100-update
-upwind search scores 719 distinct cells, where its 11 windows hold 1,320
-candidates, and a tracking run, whose belief changes at every update, scores
-every candidate of every window, as before.
+belief object or a detection, the only time last_hit moves, and its
+CellScores is built at the belief's first plan, so a belief that ends the
+mission builds none. So the 100-update upwind search scores 719 distinct
+cells, where its 11 windows hold 1,320 candidates, and a tracking run, whose
+belief changes at every update, scores every candidate of every window, as
+before.
 
 The plume never depends on the vehicle, so a Plume holds it: the field, its
 solver steps since the warm field, and Brent's search for an exact period of
@@ -61,8 +63,8 @@ from .vehicle import advance_towards, take_reading
 
 logger = logging.getLogger(__name__)
 
-# The most cells a table of one plume period may hold, to be recorded or
-# read: 2**17 float64 cells, 1 MiB.
+# The most cells a table of one plume period may hold for a Plume to record
+# it: 2**17 float64 cells, 1 MiB.
 CYCLE_TABLE_CELLS = 2**17
 
 
@@ -234,7 +236,6 @@ class Mission:
                 summarized = self.belief
                 estimate, widths = point_estimate(summarized), sci_widths(summarized, sc.gamma)
                 windows = {}  # usv_cell -> (score_candidates' result, waypoint cell)
-                scored = CellScores(summarized)
             fb = MissionFeedback(
                 step=self.updates_used,
                 sim_time_s=self.sim_time_s,
@@ -257,6 +258,8 @@ class Mission:
 
             usv_cell = sc.geometry.cell_of(self.position)
             if usv_cell not in windows:
+                if not windows:  # the belief's first plan
+                    scored = CellScores(self.belief)
                 scores = score_candidates(self.belief, usv_cell, ctx, sc.planner, scored)
                 windows[usv_cell] = scores, select_waypoint(
                     self.belief, usv_cell, ctx, sc.planner, scores=scores

@@ -31,21 +31,21 @@ border. A summed-area table would take P_b as a difference of partial sums of
 order one, and cancellation would lose small masses. The nine sums are
 written in place, a suffix sum through a reversed view, and a chunk's masses
 are one gather from them. The detection kernel over the lattice of cell
-offsets is one table per grid, wind and sigma2_hit. A chunk's hit weights are
-one gather from it where cell centres d cells apart differ by exactly d * h
-in floats for every d up to the radius, which is checked once per grid and
-radius and holds on the bundled grids; elsewhere the block kernel computes
-them. The hit kernel of p_hit is not clamped, so p_hit stays a full-grid
-product per candidate with a kernel from the same table, read as a
-contiguous run of a strip of it copied once per candidate column; the update
-and p_hit share one detection kernel. The hit and the miss branch share one
-log of the masses. These forms multiply and add as plain slices of the grid
-would, in the same order, to the same bits. The pass takes the candidates in
-chunks whose block arrays hold at most max(2^16, nx * ny) elements, so a
-wide window or a radius past the grid cannot hold C * nx * ny numbers at
-once; the bundled scenarios fit one chunk. The scores are two float64
-arrays, ig and p_hit, aligned with the list of candidate cells, so scoring
-and selection build no object per candidate.
+offsets is one table per grid, wind and sigma2_hit, and a chunk's hit
+weights are one gather from it on every grid. Where cell centres d cells
+apart differ by exactly d * h in floats, as on the bundled grids, these are
+the block kernel's bits; elsewhere they differ from them by rounding only.
+The hit kernel of p_hit is not clamped, so p_hit stays a full-grid product
+per candidate with a kernel from the same table, read as a contiguous run of
+a strip of it copied once per candidate column: p_hit and the hit branch
+read one table. The hit and the miss branch share one log of the masses.
+These forms multiply and add as plain slices of the grid would, in the same
+order, to the same bits. The pass takes the candidates in chunks whose block
+arrays hold at most max(2^16, nx * ny) elements, so a wide window or a
+radius past the grid cannot hold C * nx * ny numbers at once; the bundled
+scenarios fit one chunk. The scores are two float64 arrays, ig and p_hit,
+aligned with the list of candidate cells, so scoring and selection build no
+object per candidate.
 
 A cell's ig and p_hit depend on the belief, v_hat, last_hit and the params,
 not on the vehicle's cell. So a CellScores holds them for one such set, as
@@ -141,25 +141,11 @@ def _hit_kernel_table(geometry: GridGeometry, v_hat: tuple[float, float], sigma2
     return table
 
 
-@lru_cache(maxsize=8)
-def _on_lattice(geometry: GridGeometry, r: int) -> bool:
-    """Whether the cell centres of both axes differ by exactly d * h for every
-    pair d <= r cells apart, as the table's offsets do: then a block's hit
-    weights are entries of _hit_kernel_table. x - y is -(y - x) exactly, so
-    d > 0 covers both signs."""
-    X, Y = geometry.cell_centers()
-    for centres in (X[0], Y[:, 0]):
-        for d in range(1, min(r, len(centres) - 1) + 1):
-            if not (centres[d:] - centres[:-d] == d * geometry.h).all():
-                return False
-    return True
-
-
-def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) -> np.ndarray:
-    """Belief-weighted chance that a measurement at each cell comes up hot,
-    clipped to [prob_clip, 1 - prob_clip], through one reused product buffer.
-    In the strip of column ci, the kernel of (ci, cj) is the nx * ny numbers
-    from row ny - 1 - cj on."""
+def _hit_probabilities(belief: GridBelief, ci, cj, v_hat, params: PlannerParams) -> np.ndarray:
+    """Belief-weighted chance that a measurement at each cell (ci, cj) comes
+    up hot, clipped to [prob_clip, 1 - prob_clip], through one reused product
+    buffer. In the strip of column i, the kernel of (i, j) is the nx * ny
+    numbers from row ny - 1 - j on."""
     geom = belief.geometry
     nx, ny, k = geom.nx, geom.ny, geom.k
     table = _hit_kernel_table(geom, tuple(v_hat), params.sigma2_hit)
@@ -168,11 +154,11 @@ def _hit_probabilities(belief: GridBelief, cells, v_hat, params: PlannerParams) 
     strip = np.empty((2 * ny - 1, nx))
     kernels = strip.reshape(-1)
     by_column = {}
-    for c, (ci, cj) in enumerate(cells):
-        by_column.setdefault(ci, []).append((c, (ny - 1 - cj) * nx))
-    sums = np.empty(len(cells))
-    for ci, column in by_column.items():
-        np.copyto(strip, table[:, nx - 1 - ci : 2 * nx - 1 - ci])
+    for c, (i, j) in enumerate(zip(ci.tolist(), cj.tolist())):
+        by_column.setdefault(i, []).append((c, (ny - 1 - j) * nx))
+    sums = np.empty(len(ci))
+    for i, column in by_column.items():
+        np.copyto(strip, table[:, nx - 1 - i : 2 * nx - 1 - i])
         for c, start in column:
             np.multiply(probs, kernels[start : start + k], out=product)
             sums[c] = np.add.reduce(product)
@@ -185,18 +171,17 @@ def _log_mass(mass: np.ndarray) -> np.ndarray:
     return np.log(mass, out=np.zeros_like(mass), where=mass > 0)
 
 
-def _update_kl(mass: np.ndarray, w: np.ndarray, log_mass=None) -> np.ndarray:
+def _update_kl(mass: np.ndarray, w: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
     """KL(posterior || prior) per row, for prior masses mass[c, b] with
-    likelihood weights w[c, b] (see the module docstring); 0 for a degenerate
-    row. The log ratio is a difference of logs, which cannot overflow on a
-    subnormal prior mass as a quotient would, and is taken only where the
-    posterior holds mass, so the prior's mass there is positive. The products
-    are those of bayes_update (weighted_mass)."""
+    likelihood weights w[c, b] (see the module docstring) and log_mass the
+    _log_mass of mass; 0 for a degenerate row. The log ratio is a difference
+    of logs, which cannot overflow on a subnormal prior mass as a quotient
+    would, and is taken only where the posterior holds mass, so the prior's
+    mass there is positive. The products are those of bayes_update
+    (weighted_mass)."""
     post, z = weighted_mass(mass, w, axis=1)
     post /= np.where(z > 0, z, 1.0)  # a degenerate row is all zero and stays so
     live = post > 0
-    if log_mass is None:
-        log_mass = _log_mass(mass)
     log_ratio = np.log(post, out=np.zeros_like(post), where=live)
     np.subtract(log_ratio, log_mass, out=log_ratio, where=live)
     log_ratio *= post
@@ -252,10 +237,11 @@ def _clamped_mass(tables: np.ndarray, rows, cols) -> np.ndarray:
 
 def _table_hit_weights(geom: GridGeometry, ci, cj, rows, cols, v_hat, sigma2_hit):
     """Hit weights of the covered blocks of cells (ci, cj), shape (C, H, W),
-    as one gather from _hit_kernel_table; rows and cols are the block cell
-    indices from _block_axis. On a grid _on_lattice passes these are the bits
-    of detection_block_weights: the zero offset holds 1.0 and entries past a
-    block repeat a cell, as there."""
+    as one gather from _hit_kernel_table, on every grid; rows and cols are
+    the block cell indices from _block_axis. Where cell centres d cells apart
+    differ by exactly d * h in floats these are the bits of
+    detection_block_weights, and elsewhere they differ by rounding only; the
+    zero offset holds 1.0 and entries past a block repeat a cell, as there."""
     nx, ny = geom.nx, geom.ny
     table = _hit_kernel_table(geom, tuple(v_hat), sigma2_hit)
     row = (ny - 1 - cj[:, None] + rows) * (2 * nx - 1)
@@ -263,22 +249,18 @@ def _table_hit_weights(geom: GridGeometry, ci, cj, rows, cols, v_hat, sigma2_hit
     return table.reshape(-1).take(row[:, :, None] + col[:, None, :])
 
 
-def _block_kls(geom: GridGeometry, tables, cells, ctx: MeasurementContext, r: int, params):
-    """KL divergences of the hit and of the miss posterior for each cell."""
+def _block_kls(geom: GridGeometry, tables, ci, cj, ctx: MeasurementContext, r: int, params):
+    """KL divergences of the hit and of the miss posterior for each cell (ci, cj)."""
     X, Y = geom.cell_centers()
     xs, ys = X[0], Y[:, 0]
-    n = len(cells)
-    ci, cj = np.array(cells, dtype=int).reshape(-1, 2).T
+    n = len(ci)
     cols, own_i, *col_mass = _block_axis(ci, r, geom.nx)
     rows, own_j, *row_mass = _block_axis(cj, r, geom.ny)
     mass = _clamped_mass(tables, row_mass, col_mass).reshape(n, -1)
     log_mass = _log_mass(mass)
-    block = (xs[ci], ys[cj], xs[cols], ys[rows], (own_j, own_i))
-    if _on_lattice(geom, r):
-        w = _table_hit_weights(geom, ci, cj, rows, cols, ctx.v_hat, params.sigma2_hit)
-    else:  # no other path gives detection_block_weights' bits here
-        w = detection_block_weights(*block, ctx.v_hat, params.sigma2_hit)
+    w = _table_hit_weights(geom, ci, cj, rows, cols, ctx.v_hat, params.sigma2_hit)
     kl_hit = _update_kl(mass, w.reshape(n, -1), log_mass)
+    block = (xs[ci], ys[cj], xs[cols], ys[rows], (own_j, own_i))
     w = miss_block_weights(*block, ctx.last_hit_pos, geom.h, params.sigma2_miss)
     kl_miss = _update_kl(mass, w.reshape(n, -1), log_mass)
     return kl_hit, kl_miss
@@ -290,20 +272,20 @@ def _block_kls(geom: GridGeometry, tables, cells, ctx: MeasurementContext, r: in
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _score(belief: GridBelief, cells, ctx: MeasurementContext, params: PlannerParams, tables):
-    """(ig, p_hit) arrays of the given cells, in their order, from their
-    covered blocks (see the module docstring), in chunks of candidates;
-    tables are the belief's _anchored_sums."""
+def _score(belief: GridBelief, ci, cj, ctx: MeasurementContext, params: PlannerParams, tables):
+    """(ig, p_hit) arrays of the cells (ci, cj), int arrays, in their order,
+    from their covered blocks (see the module docstring), in chunks of
+    candidates; tables are the belief's _anchored_sums."""
     geom = belief.geometry
     # a block stops at the grid, and so does a larger radius, which int64 may not hold
     r = min(params.local_radius_cells, max(geom.nx, geom.ny))
     block = min(2 * r + 1, geom.ny) * min(2 * r + 1, geom.nx)
     per_chunk = max(_BLOCK_ELEMENTS, geom.k) // block
-    ig, p_hit = np.empty(len(cells)), np.empty(len(cells))
-    for start in range(0, len(cells), per_chunk):
+    ig, p_hit = np.empty(len(ci)), np.empty(len(ci))
+    for start in range(0, len(ci), per_chunk):
         part = slice(start, start + per_chunk)
-        kl_hit, kl_miss = _block_kls(geom, tables, cells[part], ctx, r, params)
-        p = p_hit[part] = _hit_probabilities(belief, cells[part], ctx.v_hat, params)
+        kl_hit, kl_miss = _block_kls(geom, tables, ci[part], cj[part], ctx, r, params)
+        p = p_hit[part] = _hit_probabilities(belief, ci[part], cj[part], ctx.v_hat, params)
         ig[part] = p * kl_hit + (1.0 - p) * kl_miss
     return ig, p_hit
 
@@ -341,7 +323,7 @@ def score_candidates(
     if len(new):
         at = cj[new], ci[new]
         scored.ig[at], scored.p_hit[at] = _score(
-            belief, [cells[c] for c in new], ctx, params, scored.tables
+            belief, ci[new], cj[new], ctx, params, scored.tables
         )
         scored.known[at] = True
     # integer indexing copies, so a window never shares the grids' memory

@@ -287,11 +287,23 @@ def _scored_cells(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(list(args[1]))
+        calls.append(list(zip(args[1].tolist(), args[2].tolist())))
         return score(*args)
 
     monkeypatch.setattr(planner, "_score", counted)
     return calls
+
+
+def _built_cell_scores(monkeypatch):
+    """The beliefs a mission builds a planner.CellScores for, one per build."""
+    built = []
+
+    def counted(belief):
+        built.append(belief)
+        return planner.CellScores(belief)
+
+    monkeypatch.setattr(mission_module, "CellScores", counted)
+    return built
 
 
 def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
@@ -299,6 +311,7 @@ def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
     # vehicle circles on one belief: its 11 windows hold 1,320 candidates, of
     # which 719 are distinct cells, each scored once
     calls = _scored_cells(monkeypatch)
+    built = _built_cell_scores(monkeypatch)
     goal = MissionGoal.for_scenario(parse_scenario("scenario_upwind"), max_updates=100)
     mission = Mission(goal)
     start = mission.belief
@@ -308,6 +321,7 @@ def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
     cells = [cell for call in calls for cell in call]
     assert len(calls) <= 11
     assert len(cells) == len(set(cells)) == 719
+    assert len(built) == 1 and built[0] is start
 
 
 @pytest.mark.parametrize(
@@ -315,11 +329,17 @@ def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
 )
 def test_a_tracking_run_scores_every_window_once(monkeypatch, name, calls, cells):
     # the belief changes at every update, so no cell score carries over from
-    # one plan to the next: a memo that scored more would show here
+    # one plan to the next: a memo that scored more would show here. A
+    # CellScores is built per planned belief, none for the one whose SCI
+    # test ends the mission
     scored = _scored_cells(monkeypatch)
-    result = Mission(MissionGoal(parse_scenario(name))).run()
+    built = _built_cell_scores(monkeypatch)
+    mission = Mission(MissionGoal(parse_scenario(name)))
+    result = mission.run()
     assert result.status is MissionStatus.SUCCEEDED
     assert (len(scored), sum(map(len, scored))) == (calls, cells)
+    assert len(built) == calls
+    assert all(belief is not mission.belief for belief in built)
 
 
 def test_search_without_detection_does_no_belief_work(monkeypatch):
@@ -403,7 +423,7 @@ class TestBeliefMemo:
         score = planner._score
 
         def counted(*args):
-            for cell in args[1]:
+            for cell in zip(args[1].tolist(), args[2].tolist()):
                 scored_at.setdefault(cell, []).append(len(mission.log.trace) + 1)
             return score(*args)
 
