@@ -295,12 +295,12 @@ def _scored_cells(monkeypatch):
 
 
 def _built_cell_scores(monkeypatch):
-    """The beliefs a mission builds a planner.CellScores for, one per build."""
+    """The planner.CellScores a mission builds, in order."""
     built = []
 
-    def counted(belief):
-        built.append(belief)
-        return planner.CellScores(belief)
+    def counted(*args):
+        built.append(planner.CellScores(*args))
+        return built[-1]
 
     monkeypatch.setattr(mission_module, "CellScores", counted)
     return built
@@ -321,7 +321,7 @@ def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
     cells = [cell for call in calls for cell in call]
     assert len(calls) <= 11
     assert len(cells) == len(set(cells)) == 719
-    assert len(built) == 1 and built[0] is start
+    assert len(built) == 1 and built[0].probs is start.probs
 
 
 @pytest.mark.parametrize(
@@ -339,7 +339,28 @@ def test_a_tracking_run_scores_every_window_once(monkeypatch, name, calls, cells
     assert result.status is MissionStatus.SUCCEEDED
     assert (len(scored), sum(map(len, scored))) == (calls, cells)
     assert len(built) == calls
-    assert all(belief is not mission.belief for belief in built)
+    assert all(scores.probs is not mission.belief.probs for scores in built)
+
+
+@pytest.mark.parametrize("name, rows", [("scenario_a", 1455), ("scenario_b", 1746)])
+def test_a_tracking_run_computes_each_miss_row_once_per_detection(monkeypatch, name, rows):
+    # a miss row depends only on the cell and the last hit, so the beliefs
+    # between two detections share one planner.MissRows: 1,455 and 1,746
+    # rows, where a row per scored candidate made 3,665 and 4,025. Each
+    # belief plans one window, so no CellScores writes its grids
+    computed = []  # (last hit, cell centre) per row; holding the last hits keeps their ids
+    miss = planner.miss_block_weights
+
+    def counted(px, py, bx, by, own, last_hit, *args):
+        if last_hit is not None:
+            computed.extend((last_hit, xy) for xy in zip(px.tolist(), py.tolist()))
+        return miss(px, py, bx, by, own, last_hit, *args)
+
+    monkeypatch.setattr(planner, "miss_block_weights", counted)
+    built = _built_cell_scores(monkeypatch)
+    assert Mission(MissionGoal(parse_scenario(name))).run().status is MissionStatus.SUCCEEDED
+    assert len(computed) == len({(id(last_hit), xy) for last_hit, xy in computed}) == rows
+    assert built and all(scores.known is None and scores.ig is None for scores in built)
 
 
 def test_search_without_detection_does_no_belief_work(monkeypatch):

@@ -464,6 +464,22 @@ class TestScoreCandidates:
         with pytest.raises(ValueError):
             ig[0] = 1.0
 
+    def test_a_cell_memo_of_another_belief_raises(self):
+        # a belief's first window is kept as scored and written to the grids
+        # at its second: read into another belief's memo, it would land in
+        # the wrong belief's grids. Equal values in another array count as
+        # another belief
+        geom = GridGeometry(10, 10, 1.0)
+        params = PlannerParams(window_cells=3)
+        belief = uniform_belief(geom)
+        memo = planner.CellScores(belief)
+        score_candidates(belief, (5, 5), _ctx(geom, (5, 5)), params, memo)
+        for other in (uniform_belief(geom), GridBelief(geom, belief.probs.copy())):
+            with pytest.raises(ValueError, match="another belief"):
+                score_candidates(other, (4, 5), _ctx(geom, (4, 5)), params, memo)
+        cells, *_ = score_candidates(belief, (4, 5), _ctx(geom, (4, 5)), params, memo)
+        assert cells == candidate_waypoints(geom, (4, 5), params)
+
 
 def per_candidate_reference(belief, cand, ctx, params):
     """(p_hit, ig) of one candidate the direct way: both kernels on the full
@@ -749,15 +765,14 @@ class TestBatchedScoring:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(planner, "_clamped_mass", four_index_clamped_mass)
             mp.setattr(planner, "_hit_probabilities", reversed_slice_p_hit)
-            want = planner._score(
-                belief, ci, cj, ctx, params, flip_copy_anchored_sums(belief.probs)
-            )
+            tables_then = flip_copy_anchored_sums(belief.probs)
+            want = planner._score(belief, ci, cj, ctx, params, tables_then, planner.MissRows())
         # a budget of one element scores a block the size of the grid, as a
         # radius past it gives, one candidate per chunk
         for budget in (planner._BLOCK_ELEMENTS, 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(planner, "_BLOCK_ELEMENTS", budget)
-                got = planner._score(belief, ci, cj, ctx, params, tables)
+                got = planner._score(belief, ci, cj, ctx, params, tables, planner.MissRows())
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
 
@@ -822,6 +837,91 @@ class TestBatchedScoring:
                         expected.append(new)
                         seen.update(new)
                 assert calls == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(scoring_cases(), st.data())
+    def test_windows_across_beliefs_and_detections_equal_fresh_windows(self, case, data):
+        # the mission's two memo tiers: one MissRows kept from belief to
+        # belief, which a detection's new last hit empties, and one
+        # CellScores per belief, whose first window is scored whole and whose
+        # grids are written at its second. 2 or 3 detection epochs, the first
+        # possibly before any hit, of 1-3 beliefs (an epoch may start on the
+        # belief a degenerate update kept) with 2-4 windows each. Every
+        # window holds the bits of a fresh call and keeps them, each cell is
+        # scored once per belief and its miss row computed once per epoch
+        belief, usv_cell, ctx, params = case
+        geom = belief.geometry
+        nx, ny = geom.nx, geom.ny
+        r = params.window_cells // 2
+        cell = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+        near = st.tuples(st.integers(-r, r), st.integers(-r, r)).map(
+            lambda d: (
+                min(max(usv_cell[0] + d[0], 0), nx - 1),
+                min(max(usv_cell[1] + d[1], 0), ny - 1),
+            )
+        )
+        windows = st.lists(st.one_of(near, cell), min_size=2, max_size=4)
+        (x0, x1), (y0, y1) = geom.x_bounds, geom.y_bounds
+        hit = st.one_of(
+            cell.map(lambda c: geom.cell_center(*c)),
+            st.tuples(st.floats(x0, x1), st.floats(y0, y1)),
+        )
+        # a budget of one element chunks every block alone, and the MissRows
+        # then empties before two chunks, as it does to bound its memory
+        budget = data.draw(st.sampled_from([planner._BLOCK_ELEMENTS, 1]))
+        unchunked = budget == planner._BLOCK_ELEMENTS
+        score, miss = planner._score, planner.miss_block_weights
+        scored, rows = [], []  # cells per _score call; miss rows per epoch
+
+        def counted_score(*args):
+            scored.append(list(zip(args[1].tolist(), args[2].tolist())))
+            return score(*args)
+
+        def counted_miss(*args):
+            if args[5] is not None:
+                rows[-1].extend(zip(args[0].tolist(), args[1].tolist()))
+            return miss(*args)
+
+        misses, plans = planner.MissRows(), []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planner, "_BLOCK_ELEMENTS", budget)
+            mp.setattr(planner, "_score", counted_score)
+            mp.setattr(planner, "miss_block_weights", counted_miss)
+            for epoch in range(data.draw(st.integers(2, 3))):
+                last_hit = data.draw(st.one_of(st.none(), hit) if epoch == 0 else hit)
+                at = replace(ctx, last_hit_pos=last_hit)
+                rows.append([])
+                epoch_cells = set()
+                seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+                beliefs = [] if epoch and data.draw(st.booleans()) else [belief]
+                for seed in seeds[len(beliefs) :]:
+                    p = np.random.default_rng(seed).random((ny, nx)) ** data.draw(
+                        st.sampled_from([1, 20])
+                    )
+                    beliefs.append(GridBelief(geom, p / p.sum()))
+                for b in beliefs:
+                    belief, memo, seen = b, planner.CellScores(b, misses), set()
+                    for u in data.draw(windows):
+                        del scored[:]
+                        cells, ig, p_hit = score_candidates(b, u, at, params, memo)
+                        bits = ig.tobytes(), p_hit.tobytes()
+                        plans.append((b, u, at, memo, cells, ig, p_hit, *bits))
+                        new = [c for c in cells if c not in seen]
+                        assert scored == ([new] if new else [])
+                        seen.update(new)
+                    epoch_cells |= seen
+                if last_hit is not None and unchunked:
+                    assert len(rows[-1]) == len(set(rows[-1])) == len(epoch_cells)
+        for b, u, at, memo, cells, ig, p_hit, ig_bytes, p_hit_bytes in plans:
+            fresh_cells, *fresh = score_candidates(b, u, at, params)
+            assert cells == fresh_cells
+            assert (ig_bytes, p_hit_bytes) == tuple(w.tobytes() for w in fresh)
+            assert (ig.tobytes(), p_hit.tobytes()) == (ig_bytes, p_hit_bytes)
+            for a in (ig, p_hit):
+                assert not a.flags.writeable
+                assert memo.ig is not None  # 2 windows or more write the grids
+                assert not np.shares_memory(a, memo.ig)
+                assert not np.shares_memory(a, memo.p_hit)
 
     @settings(max_examples=200, deadline=None)
     @given(
