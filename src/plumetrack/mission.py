@@ -11,21 +11,17 @@ set from another thread.
 
 A miss before the first detection carries no information: the loop builds
 no likelihood for it and keeps the belief object, as bayes_update would for
-that constant likelihood. The planner's work is kept in two tiers. One memo
-holds the work done per belief: the point estimate, the SCI widths, a
-planner.CellScores that the windows share, and the scores and selected
-waypoint of each window planned from (the selection depends only on the
-scores and the vehicle's cell). It is renewed on a new belief object or a
-detection, the only time last_hit moves, and its CellScores is built at the
-belief's first plan, so a belief that ends the mission builds none. So the
-100-update upwind search scores 719 distinct cells, where its 11 windows
-hold 1,320 candidates, and a tracking run, whose belief changes at every
-update, scores every candidate of every window, as before, though no
-CellScores of it writes a grid. The other tier is one planner.MissRows per
-mission, which holds the miss kernel's rows per detection: every CellScores
-fills it, and it empties when a detection moves last_hit. So a tracking run
-computes a cell's miss row once per detection, 1,455 rows on scenario_a
-where its windows hold 3,665 candidates.
+that constant likelihood. One memo holds the work done per belief: the
+point estimate, the SCI widths, and the scores and selected waypoint of each
+window planned from (the selection depends only on the scores and the
+vehicle's cell). It is renewed on a new belief object or a detection, the
+only time last_hit moves. Beneath it, one planner.CellScores per mission
+holds the planner's work per cell, which score_candidates renews as the
+belief and last_hit move. So the 100-update upwind search scores 719
+distinct cells, where its 11 windows hold 1,320 candidates, and a tracking
+run, whose belief changes at every update, scores every candidate of every
+window, as before, but computes a cell's miss row once per detection, 1,455
+rows on scenario_a where its windows hold 3,665 candidates.
 
 The plume never depends on the vehicle, so a Plume holds it: the field, its
 solver steps since the warm field, and Brent's search for an exact period of
@@ -61,7 +57,7 @@ from .belief import (
 )
 # perfbench/layers.py times the field layer by wrapping these three names here
 from .field import ScalarField, init_field, run_warmup, step as field_step
-from .planner import CellScores, MissRows, score_candidates, select_waypoint
+from .planner import CellScores, score_candidates, select_waypoint
 from .scenario import Scenario
 from .uncertainty import sci_widths, termination_check
 from .vehicle import advance_towards, take_reading
@@ -205,7 +201,7 @@ class Mission:
         sc = self.goal.scenario
         out_of_time = False
         summarized = None  # the belief object that estimate, widths and windows describe
-        misses = MissRows()  # the miss kernel's rows since the last detection
+        scored = CellScores()  # the planner's work per cell, which score_candidates renews
         while True:
             if self._cancel.is_set():
                 status = MissionStatus.CANCELED
@@ -264,8 +260,6 @@ class Mission:
 
             usv_cell = sc.geometry.cell_of(self.position)
             if usv_cell not in windows:
-                if not windows:  # the belief's first plan
-                    scored = CellScores(self.belief, misses)
                 scores = score_candidates(self.belief, usv_cell, ctx, sc.planner, scored)
                 windows[usv_cell] = scores, select_waypoint(
                     self.belief, usv_cell, ctx, sc.planner, scores=scores

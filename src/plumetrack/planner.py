@@ -47,20 +47,20 @@ scenarios fit one chunk. The scores are two float64 arrays, ig and p_hit,
 aligned with the list of candidate cells, so scoring and selection build no
 object per candidate.
 
-Two memos keep work for later windows. A cell's ig and p_hit depend on the
-belief, v_hat, last_hit and the params, not on the vehicle's cell. So a
-CellScores holds them for one such set, beside the belief's anchored sums:
-the first window's arrays as scored, and from a second window on (ny, nx)
-grids with a mask of the cells scored. score_candidates reads a window's
-known cells from the grids, passes only the rest to the pass, in window
-order, and returns fresh read-only copies. A cell's miss weights depend only
-on the cell and last_hit, for one grid and params, so a MissRows holds them
-from one detection to the next, across beliefs: the miss kernel runs once
-per cell per detection. A call without a CellScores uses a fresh one, with a
-fresh MissRows. A row of the pass does not depend on the other cells of its
-chunk, so every window holds the bits that scoring it whole gives. A mission
-keeps a CellScores per belief and last_hit and one MissRows (see the mission
-module).
+One memo keeps work for later windows. A cell's ig and p_hit depend on the
+belief, v_hat, last_hit, the grid and the params, not on the vehicle's cell,
+and its miss weights only on the cell and last_hit, for one grid and params.
+A CellScores holds both per cell, beside the belief's anchored sums, and
+score_candidates renews it first on every call: other grid, v_hat or params
+empty both, another last_hit object the miss weights and the scores, and
+another belief.probs object the scores. A window's cells it holds are read
+from it and only the rest go to the pass, in window order, so the windows
+of one belief share their cells' scores and the beliefs between two
+detections their miss weights: the miss kernel runs once per cell per
+detection. A call without a CellScores uses a fresh one, so there is one
+scoring path. A row of the pass does not depend on the other cells of its
+chunk, so every window holds the bits that scoring it whole gives. A
+mission keeps one CellScores (see the mission module).
 """
 
 import math
@@ -260,110 +260,110 @@ def _table_hit_weights(geom: GridGeometry, ci, cj, rows, cols, v_hat, sigma2_hit
 _BLOCK_ELEMENTS = 1 << 16
 
 
-class MissRows:
-    """Rows of miss_block_weights, the miss kernel on a cell's covered block,
-    for the cells scored since the last hit moved. A row depends only on the
-    cell and the last hit, for one grid and params, so the beliefs between
-    two detections share them. One growable (N, H * W) array holds the rows
-    in the order filled, and an (ny, nx) index each cell's row, -1 for a
-    cell not held. It empties when the last hit is not the held one's
-    object, and before it would hold more than two of _score's chunks, so
-    its memory stays O(nx * ny) as the pass's does.
-    """
+class _CellRows:
+    """Rows of one width per grid cell, for the cells held: a (capacity,
+    width) array allocated once, filled in order, and an (ny, nx) index of
+    each cell's row, -1 for a cell not held. A call's cells must be distinct
+    and fit the capacity."""
 
-    def __init__(self):
-        self.last_hit, self.at, self.rows, self.n = None, None, np.empty((0, 0)), 0
+    def __init__(self, shape, width, capacity):
+        self.at, self.rows, self.n = np.full(shape, -1), np.empty((capacity, width)), 0
 
-    def weights(self, geom: GridGeometry, ci, cj, block, last_hit, sigma2_miss) -> np.ndarray:
-        """The (C, H * W) miss weights of the cells (ci, cj), whose covered
-        blocks are the miss_block_weights arguments block: one
-        miss_block_weights call fills the rows of the cells not held, in
-        their order, and one take gathers them all."""
-        px, py, bx, by, (own_j, own_i) = block
-        most = 2 * max(_BLOCK_ELEMENTS, geom.k) // (by.shape[1] * bx.shape[1])
-        if last_hit is not self.last_hit or self.n + len(ci) > most:
-            self.last_hit, self.at, self.n = last_hit, np.full((geom.ny, geom.nx), -1), 0
+    def get(self, ci, cj, fill) -> np.ndarray:
+        """The rows of the cells (ci, cj), shape (C, width): one fill(new)
+        call gives the rows of the cells not held, new indexing ci and cj in
+        their order, and one take gathers them all. A store that cannot hold
+        the new rows empties first."""
         at = self.at[cj, ci]
         new = np.flatnonzero(at < 0)
+        if self.n + len(new) > len(self.rows):
+            self.clear()
+            at[:] = -1
+            new = np.arange(len(at))
         if len(new):
-            block = px[new], py[new], bx[new], by[new], (own_j[new], own_i[new])
-            w = miss_block_weights(*block, last_hit, geom.h, sigma2_miss)
             end = self.n + len(new)
-            if end > len(self.rows):
-                # in place, keeping the rows held: no view of them leaves this object
-                shape = min(max(end, 2 * len(self.rows)), most), w[0].size
-                self.rows.resize(shape, refcheck=False)
-            self.rows[self.n : end] = w.reshape(len(new), -1)
+            self.rows[self.n : end] = fill(new).reshape(len(new), -1)
             at[new] = self.at[cj[new], ci[new]] = np.arange(self.n, end)
             self.n = end
         return self.rows.take(at, axis=0)
 
+    def clear(self):
+        self.at.fill(-1)
+        self.n = 0
 
-def _block_kls(geom: GridGeometry, tables, misses, ci, cj, ctx: MeasurementContext, r: int, params):
+
+class CellScores:
+    """The planner's work per cell for the belief, context and params that
+    score_candidates was last given, which renew keeps current (see the
+    module docstring), in two _CellRows tiers: the (ig, p_hit) of the cells
+    scored, beside the belief's _anchored_sums, and their miss weights. The
+    miss tier holds one of _score's chunks, so its memory stays O(nx * ny)
+    as the pass's does."""
+
+    def __init__(self):
+        self.key = self.last_hit = self.probs = None
+
+    def renew(self, belief: GridBelief, ctx: MeasurementContext, params: PlannerParams):
+        """Empty what belief, ctx and params make stale: both tiers when the
+        grid, v_hat or params differ, compared by equality as the kernel
+        caches compare them; the miss rows and the scores when last_hit is
+        another object; the scores and anchored sums when belief.probs is."""
+        geom = belief.geometry
+        if (geom, tuple(ctx.v_hat), params) != self.key:
+            self.key = geom, tuple(ctx.v_hat), params
+            # a block stops at the grid, and so does a larger radius, which int64 may not hold
+            self.radius = r = min(params.local_radius_cells, max(geom.nx, geom.ny))
+            block = min(2 * r + 1, geom.ny) * min(2 * r + 1, geom.nx)
+            self.chunk = max(_BLOCK_ELEMENTS, geom.k) // block  # candidates per pass chunk
+            self.scores = _CellRows((geom.ny, geom.nx), 2, geom.k)
+            self.misses = _CellRows((geom.ny, geom.nx), block, self.chunk)
+        if ctx.last_hit_pos is not self.last_hit:
+            self.last_hit = ctx.last_hit_pos
+            self.misses.clear()
+            self.scores.clear()
+        if belief.probs is not self.probs:
+            self.probs, self.tables = belief.probs, _anchored_sums(belief.probs)
+            self.scores.clear()
+
+
+def _block_kls(geom: GridGeometry, memo: CellScores, ci, cj, ctx: MeasurementContext, params):
     """KL divergences of the hit and of the miss posterior for each cell (ci,
-    cj); after the first detection the miss weights come from misses, a
-    MissRows."""
+    cj); after the first detection the miss weights come from memo's miss
+    rows."""
     X, Y = geom.cell_centers()
     xs, ys = X[0], Y[:, 0]
     n = len(ci)
-    cols, own_i, *col_mass = _block_axis(ci, r, geom.nx)
-    rows, own_j, *row_mass = _block_axis(cj, r, geom.ny)
-    mass = _clamped_mass(tables, row_mass, col_mass).reshape(n, -1)
+    cols, own_i, *col_mass = _block_axis(ci, memo.radius, geom.nx)
+    rows, own_j, *row_mass = _block_axis(cj, memo.radius, geom.ny)
+    mass = _clamped_mass(memo.tables, row_mass, col_mass).reshape(n, -1)
     log_mass = _log_mass(mass)
     w = _table_hit_weights(geom, ci, cj, rows, cols, ctx.v_hat, params.sigma2_hit)
     kl_hit = _update_kl(mass, w.reshape(n, -1), log_mass)
-    block = (xs[ci], ys[cj], xs[cols], ys[rows], (own_j, own_i))
-    if ctx.last_hit_pos is None:
-        w = miss_block_weights(*block, None, geom.h, params.sigma2_miss)
-    else:
-        w = misses.weights(geom, ci, cj, block, ctx.last_hit_pos, params.sigma2_miss)
+    px, py, bx, by = xs[ci], ys[cj], xs[cols], ys[rows]
+
+    def miss(at):
+        block = px[at], py[at], bx[at], by[at], (own_j[at], own_i[at])
+        return miss_block_weights(*block, ctx.last_hit_pos, geom.h, params.sigma2_miss)
+
+    w = miss(slice(None)) if ctx.last_hit_pos is None else memo.misses.get(ci, cj, miss)
     kl_miss = _update_kl(mass, w.reshape(n, -1), log_mass)
     return kl_hit, kl_miss
 
 
 def _score(
-    belief: GridBelief, ci, cj, ctx: MeasurementContext, params: PlannerParams, tables, misses
+    belief: GridBelief, ci, cj, ctx: MeasurementContext, params: PlannerParams, memo: CellScores
 ):
-    """(ig, p_hit) arrays of the cells (ci, cj), int arrays, in their order,
-    from their covered blocks (see the module docstring), in chunks of
-    candidates; tables are the belief's _anchored_sums and misses a
-    MissRows."""
+    """(C, 2) rows of (ig, p_hit) of the cells (ci, cj), int arrays, in their
+    order, from their covered blocks (see the module docstring), in chunks of
+    candidates; memo is a CellScores renewed for belief, ctx and params."""
     geom = belief.geometry
-    # a block stops at the grid, and so does a larger radius, which int64 may not hold
-    r = min(params.local_radius_cells, max(geom.nx, geom.ny))
-    block = min(2 * r + 1, geom.ny) * min(2 * r + 1, geom.nx)
-    per_chunk = max(_BLOCK_ELEMENTS, geom.k) // block
-    ig, p_hit = np.empty(len(ci)), np.empty(len(ci))
-    for start in range(0, len(ci), per_chunk):
-        part = slice(start, start + per_chunk)
-        kl_hit, kl_miss = _block_kls(geom, tables, misses, ci[part], cj[part], ctx, r, params)
-        p = p_hit[part] = _hit_probabilities(belief, ci[part], cj[part], ctx.v_hat, params)
-        ig[part] = p * kl_hit + (1.0 - p) * kl_miss
-    return ig, p_hit
-
-
-class CellScores:
-    """The ig and p_hit of the cells scored so far for one belief, v_hat,
-    last_hit and params, the belief's _anchored_sums and a MissRows. A
-    cell's scores do not depend on the vehicle's cell, so the windows of one
-    belief share them: the first window's arrays are kept as scored, and
-    (ny, nx) grids with a mask of the scored cells are written only when a
-    second window is planned. Whoever keeps one renews it when any of the
-    four changes; misses, if given, is the MissRows to fill, which the
-    CellScores of other beliefs may share."""
-
-    def __init__(self, belief: GridBelief, misses: MissRows | None = None):
-        self.probs = belief.probs
-        self.tables = _anchored_sums(belief.probs)
-        self.misses = MissRows() if misses is None else misses
-        self.first = None  # (ci, cj, ig, p_hit) of the first window
-        self.ig = self.p_hit = self.known = None  # the grids, from the second window on
-
-    def _write_grids(self):
-        ci, cj, ig, p_hit = self.first
-        self.ig, self.p_hit = np.empty((2, *self.probs.shape))
-        self.known = np.zeros(self.probs.shape, dtype=bool)
-        self.ig[cj, ci], self.p_hit[cj, ci], self.known[cj, ci] = ig, p_hit, True
+    out = np.empty((len(ci), 2))
+    for start in range(0, len(ci), memo.chunk):
+        part = slice(start, start + memo.chunk)
+        kl_hit, kl_miss = _block_kls(geom, memo, ci[part], cj[part], ctx, params)
+        p = out[part, 1] = _hit_probabilities(belief, ci[part], cj[part], ctx.v_hat, params)
+        out[part, 0] = p * kl_hit + (1.0 - p) * kl_miss
+    return out
 
 
 def score_candidates(
@@ -371,36 +371,19 @@ def score_candidates(
     usv_cell: tuple[int, int],
     ctx: MeasurementContext,
     params: PlannerParams,
-    scored: CellScores | None = None,
+    memo: CellScores | None = None,
 ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """(cells, ig, p_hit): the candidate_waypoints cells around usv_cell and
     two read-only float64 arrays holding each cell's gain and hit
-    probability, in that order. The first window of scored is scored whole;
-    from the second on, cells that scored holds are read from its grids and
-    the rest are scored, in window order, and added to them. A call without
-    scored uses a fresh CellScores; one built for another belief raises
-    ValueError."""
+    probability, in that order. memo, renewed first, gives the scores of
+    the cells it holds; the rest are scored, in window order, and added to
+    it. A call without memo uses a fresh CellScores."""
     cells = candidate_waypoints(belief.geometry, usv_cell, params)
-    if scored is None:
-        scored = CellScores(belief)
-    elif scored.probs is not belief.probs:
-        raise ValueError("scored: a CellScores built for another belief")
+    memo = CellScores() if memo is None else memo
+    memo.renew(belief, ctx, params)
     ci, cj = np.array(cells, dtype=int).reshape(-1, 2).T
-    if scored.first is None:
-        ig, p_hit = _score(belief, ci, cj, ctx, params, scored.tables, scored.misses)
-        scored.first = ci, cj, ig, p_hit
-    else:
-        if scored.known is None:
-            scored._write_grids()
-        new = np.flatnonzero(~scored.known[cj, ci])
-        if len(new):
-            at = cj[new], ci[new]
-            scored.ig[at], scored.p_hit[at] = _score(
-                belief, ci[new], cj[new], ctx, params, scored.tables, scored.misses
-            )
-            scored.known[at] = True
-        # integer indexing copies, so a window never shares the grids' memory
-        ig, p_hit = scored.ig[cj, ci], scored.p_hit[cj, ci]
+    rows = memo.scores.get(ci, cj, lambda new: _score(belief, ci[new], cj[new], ctx, params, memo))
+    ig, p_hit = rows.T  # take copies, so a window never shares the store's memory
     ig.setflags(write=False)
     p_hit.setflags(write=False)
     return cells, ig, p_hit

@@ -298,8 +298,8 @@ def _built_cell_scores(monkeypatch):
     """The planner.CellScores a mission builds, in order."""
     built = []
 
-    def counted(*args):
-        built.append(planner.CellScores(*args))
+    def counted():
+        built.append(planner.CellScores())
         return built[-1]
 
     monkeypatch.setattr(mission_module, "CellScores", counted)
@@ -329,25 +329,23 @@ def test_upwind_search_scores_each_belief_and_cell_once(monkeypatch):
 )
 def test_a_tracking_run_scores_every_window_once(monkeypatch, name, calls, cells):
     # the belief changes at every update, so no cell score carries over from
-    # one plan to the next: a memo that scored more would show here. A
-    # CellScores is built per planned belief, none for the one whose SCI
-    # test ends the mission
+    # one plan to the next: a memo that scored more would show here. The
+    # mission's one CellScores never holds the belief whose SCI test ends it
     scored = _scored_cells(monkeypatch)
     built = _built_cell_scores(monkeypatch)
     mission = Mission(MissionGoal(parse_scenario(name)))
     result = mission.run()
     assert result.status is MissionStatus.SUCCEEDED
     assert (len(scored), sum(map(len, scored))) == (calls, cells)
-    assert len(built) == calls
-    assert all(scores.probs is not mission.belief.probs for scores in built)
+    assert len(built) == 1 and built[0].probs is not mission.belief.probs
 
 
 @pytest.mark.parametrize("name, rows", [("scenario_a", 1455), ("scenario_b", 1746)])
 def test_a_tracking_run_computes_each_miss_row_once_per_detection(monkeypatch, name, rows):
     # a miss row depends only on the cell and the last hit, so the beliefs
-    # between two detections share one planner.MissRows: 1,455 and 1,746
-    # rows, where a row per scored candidate made 3,665 and 4,025. Each
-    # belief plans one window, so no CellScores writes its grids
+    # between two detections share the miss rows of the mission's one
+    # planner.CellScores: 1,455 and 1,746 rows, where a row per scored
+    # candidate made 3,665 and 4,025
     computed = []  # (last hit, cell centre) per row; holding the last hits keeps their ids
     miss = planner.miss_block_weights
 
@@ -360,7 +358,7 @@ def test_a_tracking_run_computes_each_miss_row_once_per_detection(monkeypatch, n
     built = _built_cell_scores(monkeypatch)
     assert Mission(MissionGoal(parse_scenario(name))).run().status is MissionStatus.SUCCEEDED
     assert len(computed) == len({(id(last_hit), xy) for last_hit, xy in computed}) == rows
-    assert built and all(scores.known is None and scores.ig is None for scores in built)
+    assert len(built) == 1
 
 
 def test_search_without_detection_does_no_belief_work(monkeypatch):
