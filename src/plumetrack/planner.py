@@ -29,10 +29,15 @@ clamp region runs from the block edge to the grid border, or is the cell
 itself, so P_b is read from cumulative sums of the belief anchored at that
 border. A summed-area table would take P_b as a difference of partial sums of
 order one, and cancellation would lose small masses. The nine sums are
-written in place, a suffix sum through a reversed view, and a chunk's masses
-are one gather from them. The detection kernel over the lattice of cell
-offsets is one table per grid, wind and sigma2_hit, and a chunk's hit
-weights are one gather from it on every grid. Where cell centres d cells
+written in place, a suffix sum through a reversed view, into one buffer of
+the grid's full size that the memo keeps: a belief's first pass folds each
+sum from its border only as far as its blocks read, and a later pass folds
+the whole grid once, so only the folds are cut, never the buffer. The block
+geometry of every cell is one table per grid and radius, so a chunk's
+masses are one gather, a row part by cj plus a column part by ci. The
+detection kernel over the lattice of cell offsets is one table per grid,
+wind and sigma2_hit, and a chunk's hit weights are one gather from it on
+every grid, through the same block tables. Where cell centres d cells
 apart differ by exactly d * h in floats, as on the bundled grids, these are
 the block kernel's bits; elsewhere they differ from them by rounding only.
 The hit kernel of p_hit is not clamped, so p_hit stays a full-grid product
@@ -64,6 +69,7 @@ mission keeps one CellScores (see the mission module).
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -173,7 +179,10 @@ def _hit_probabilities(belief: GridBelief, ci, cj, v_hat, params: PlannerParams)
 def _log_mass(mass: np.ndarray) -> np.ndarray:
     """log(mass) where mass > 0, else 0: _update_kl's log prior, which the
     hit and the miss branch of a chunk share."""
-    return np.log(mass, out=np.zeros_like(mass), where=mass > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mass = np.log(mass)
+    np.copyto(log_mass, 0.0, where=mass <= 0)
+    return log_mass
 
 
 def _update_kl(mass: np.ndarray, w: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
@@ -181,24 +190,26 @@ def _update_kl(mass: np.ndarray, w: np.ndarray, log_mass: np.ndarray) -> np.ndar
     likelihood weights w[c, b] (see the module docstring) and log_mass the
     _log_mass of mass; 0 for a degenerate row. The log ratio is a difference
     of logs, which cannot overflow on a subnormal prior mass as a quotient
-    would, and is taken only where the posterior holds mass, so the prior's
-    mass there is positive. The products are those of bayes_update
+    would; it is taken over the whole row, and the terms where the posterior
+    holds no mass (-inf or NaN there) are zeroed, so the prior's mass is
+    positive at every term kept. The products are those of bayes_update
     (weighted_mass)."""
     post, z = weighted_mass(mass, w, axis=1)
     post /= np.where(z > 0, z, 1.0)  # a degenerate row is all zero and stays so
-    live = post > 0
-    log_ratio = np.log(post, out=np.zeros_like(post), where=live)
-    np.subtract(log_ratio, log_mass, out=log_ratio, where=live)
-    log_ratio *= post
-    return log_ratio.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(post)
+        terms -= log_mass
+        terms *= post
+    np.copyto(terms, 0.0, where=post <= 0)
+    return terms.sum(axis=1)
 
 
 def _block_axis(c: np.ndarray, r: int, n: int):
     """One axis of the covered blocks of cells c, min(2r+1, n) entries per
-    cell: the block's cell indices, the index of c in its block, and for
-    _clamped_mass whether each entry lies in the block, its clamp-region kind
-    and the index its mass is read at. Entries past a block's end repeat its
-    last cell."""
+    cell: the block's cell indices, the index of c in its block, whether
+    each entry lies in the block, its clamp-region kind and the index its
+    mass is read at (see _Axis). Entries past a block's end repeat its last
+    cell."""
     lo, hi = np.maximum(c - r, 0)[:, None], np.minimum(c + r, n - 1)[:, None]
     k = lo + np.arange(min(2 * r + 1, n))
     idx = np.minimum(k, hi)
@@ -208,50 +219,62 @@ def _block_axis(c: np.ndarray, r: int, n: int):
     return idx, c - lo[:, 0], k <= hi, kind, read
 
 
-def _anchored_sums(probs: np.ndarray) -> np.ndarray:
-    """3x3 tables of shape (ny, nx) for _clamped_mass. Along each axis, table
-    0 sums from the low grid border to an index, table 1 is the cell and
-    table 2 sums from an index to the high border, written in place: a suffix
-    sum is a cumulative sum of the reversed axis into a reversed view."""
-    tables = np.empty((3, 3, *probs.shape))
-    rows = tables[1]  # the sums along x, which the sums along y read
-    np.cumsum(probs, 1, out=rows[0])
-    rows[1] = probs
-    np.cumsum(probs[:, ::-1], 1, out=rows[2, :, ::-1])
-    for kx in range(3):
-        np.cumsum(rows[kx], 0, out=tables[0, kx])
-        np.cumsum(rows[kx, ::-1], 0, out=tables[2, kx, ::-1])
+# One axis of the blocks of every cell, row c for cell c: _block_axis's five
+# results, each entry's flat-index part into the anchored sums (mass) and into
+# _hit_kernel_table (hit), its cell centre, and per clamp-region kind (0: from
+# the border to the block's low edge, 1: the cell, 2: from its high edge to
+# the border) the first and last index read, n and -1 for a kind not read.
+_Axis = namedtuple("_Axis", "cells own inside kind read mass hit centres first last")
+
+
+@lru_cache(maxsize=8)
+def _block_tables(geometry: GridGeometry, r: int) -> tuple[_Axis, _Axis]:
+    """The _Axis of x and of y for radius r, read-only. A pass gathers rows
+    by ci and cj and adds a row part to a column part; the hit parts read
+    the offset (ci - i, cj - j) of block cell (i, j) from the table."""
+    nx, ny = geometry.nx, geometry.ny
+    X, Y = geometry.cell_centers()
+    axes = []
+    # the flat-index strides per kind, per read and per offset
+    for n, at, *stride in ((nx, X[0], ny * nx, 1, 1), (ny, Y[:, 0], 3 * ny * nx, nx, 2 * nx - 1)):
+        c = np.arange(n)
+        cells, own, inside, kind, read = _block_axis(c, r, n)
+        mass = kind * stride[0] + read * stride[1]
+        hit = (n - 1 - c[:, None] + cells) * stride[2]
+        first = np.stack([np.where(kind == k, read, n).min(1) for k in range(3)], 1)
+        last = np.stack([np.where(kind == k, read, -1).max(1) for k in range(3)], 1)
+        axes.append(_Axis(cells, own, inside, kind, read, mass, hit, at[cells], first, last))
+        for a in axes[-1]:
+            a.setflags(write=False)
+    return axes[0], axes[1]
+
+
+def _gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """table raveled, read at rows[c, h] + cols[c, w]: shape (C, H, W)."""
+    return table.reshape(-1).take(rows[:, :, None] + cols[:, None, :])
+
+
+def _anchored_sums(probs: np.ndarray, tables: np.ndarray, cols=None, rows=None) -> np.ndarray:
+    """3x3 tables of shape (ny, nx) of the belief masses P_b of the clamp
+    regions (see _Axis), written into tables, (3, 3, ny, nx). Along each axis
+    table 0 sums from the low border to an index, table 1 is the cell and
+    table 2 sums from an index to the high border: a cumulative sum of the
+    reversed axis into a reversed view. cols (the half-open span of columns
+    read per x kind) and rows (the end of the rows read in y kind 0, the
+    start of those in y kind 2) cut the folds; each still runs from its
+    border in the same order, so every entry written has the full bits."""
+    ny, nx = probs.shape
+    cols = cols or ((0, nx),) * 3
+    end, start = rows or (ny, 0)
+    sums = tables[1]  # the sums along x, which the sums along y read
+    (_, e0), (b1, e1), (b2, _) = cols
+    np.cumsum(probs[:, :e0], 1, out=sums[0, :, :e0])
+    sums[1, :, b1:e1] = probs[:, b1:e1]
+    np.cumsum(probs[:, b2:][:, ::-1], 1, out=sums[2, :, b2:][:, ::-1])
+    for kx, (b, e) in enumerate(cols):
+        np.cumsum(sums[kx, :end, b:e], 0, out=tables[0, kx, :end, b:e])
+        np.cumsum(sums[kx, start:, b:e][::-1], 0, out=tables[2, kx, start:, b:e][::-1])
     return tables
-
-
-def _clamped_mass(tables: np.ndarray, rows, cols) -> np.ndarray:
-    """Belief mass P_b that clamps onto each block cell, shape (C, H, W), 0
-    past a block; rows and cols are the last three results of _block_axis.
-    Along an axis the clamp region of kind 0 runs from the grid border to the
-    block's low edge, of kind 1 is the cell, and of kind 2 runs from the
-    block's high edge to the grid border. One gather reads the raveled
-    tables at a row part plus a column part of each flat index."""
-    (in_y, kind_y, read_y), (in_x, kind_x, read_x) = rows, cols
-    ny, nx = tables.shape[2:]
-    row = kind_y * (3 * ny * nx) + read_y * nx
-    col = kind_x * (ny * nx) + read_x
-    mass = tables.reshape(-1).take(row[:, :, None] + col[:, None, :])
-    mass[~(in_y[:, :, None] & in_x[:, None, :])] = 0.0
-    return mass
-
-
-def _table_hit_weights(geom: GridGeometry, ci, cj, rows, cols, v_hat, sigma2_hit):
-    """Hit weights of the covered blocks of cells (ci, cj), shape (C, H, W),
-    as one gather from _hit_kernel_table, on every grid; rows and cols are
-    the block cell indices from _block_axis. Where cell centres d cells apart
-    differ by exactly d * h in floats these are the bits of
-    detection_block_weights, and elsewhere they differ by rounding only; the
-    zero offset holds 1.0 and entries past a block repeat a cell, as there."""
-    nx, ny = geom.nx, geom.ny
-    table = _hit_kernel_table(geom, tuple(v_hat), sigma2_hit)
-    row = (ny - 1 - cj[:, None] + rows) * (2 * nx - 1)
-    col = nx - 1 - ci[:, None] + cols
-    return table.reshape(-1).take(row[:, :, None] + col[:, None, :])
 
 
 # Elements of one (C, H, W) block array: _score takes the candidates in chunks
@@ -296,50 +319,74 @@ class CellScores:
     """The planner's work per cell for the belief, context and params that
     score_candidates was last given, which renew keeps current (see the
     module docstring), in two _CellRows tiers: the (ig, p_hit) of the cells
-    scored, beside the belief's _anchored_sums, and their miss weights. The
-    miss tier holds one of _score's chunks, so its memory stays O(nx * ny)
-    as the pass's does."""
+    scored and their miss weights; beside them the belief's _anchored_sums
+    in one buffer of the grid's size. The miss tier holds one of _score's
+    chunks, so its memory stays O(nx * ny) as the pass's does."""
 
     def __init__(self):
         self.key = self.last_hit = self.probs = None
 
     def renew(self, belief: GridBelief, ctx: MeasurementContext, params: PlannerParams):
-        """Empty what belief, ctx and params make stale: both tiers when the
-        grid, v_hat or params differ, compared by equality as the kernel
-        caches compare them; the miss rows and the scores when last_hit is
-        another object; the scores and anchored sums when belief.probs is."""
+        """Empty what belief, ctx and params make stale: both tiers and the
+        sums when the grid, v_hat or params differ, compared by equality as
+        the kernel caches compare them; the miss rows and the scores when
+        last_hit is another object; the scores and sums when belief.probs is."""
         geom = belief.geometry
         if (geom, tuple(ctx.v_hat), params) != self.key:
             self.key = geom, tuple(ctx.v_hat), params
             # a block stops at the grid, and so does a larger radius, which int64 may not hold
-            self.radius = r = min(params.local_radius_cells, max(geom.nx, geom.ny))
-            block = min(2 * r + 1, geom.ny) * min(2 * r + 1, geom.nx)
+            r = min(params.local_radius_cells, max(geom.nx, geom.ny))
+            self.axes = _block_tables(geom, r)
+            block = self.axes[0].cells.shape[1] * self.axes[1].cells.shape[1]
             self.chunk = max(_BLOCK_ELEMENTS, geom.k) // block  # candidates per pass chunk
             self.scores = _CellRows((geom.ny, geom.nx), 2, geom.k)
             self.misses = _CellRows((geom.ny, geom.nx), block, self.chunk)
+            self.tables, self.probs = np.empty((3, 3, geom.ny, geom.nx)), None
         if ctx.last_hit_pos is not self.last_hit:
             self.last_hit = ctx.last_hit_pos
             self.misses.clear()
             self.scores.clear()
         if belief.probs is not self.probs:
-            self.probs, self.tables = belief.probs, _anchored_sums(belief.probs)
+            self.probs, self.fold = belief.probs, None
             self.scores.clear()
+
+    def sums(self, ci, cj) -> np.ndarray:
+        """The anchored sums, folded at every flat index that the pass over
+        cells (ci, cj) reads: a belief's first pass folds each sum from its
+        border only as far as its blocks read, and a later one the whole
+        grid, once."""
+        if self.fold is None:
+            x, y = self.axes
+            cols = zip(x.first[ci].min(0).tolist(), (x.last[ci].max(0) + 1).tolist())
+            rows = int(y.last[cj, 0].max()) + 1, int(y.first[cj, 2].min())
+            _anchored_sums(self.probs, self.tables, tuple(cols), rows)
+            self.fold = "cut"
+        elif self.fold == "cut":
+            _anchored_sums(self.probs, self.tables)
+            self.fold = "whole"
+        return self.tables
 
 
 def _block_kls(geom: GridGeometry, memo: CellScores, ci, cj, ctx: MeasurementContext, params):
     """KL divergences of the hit and of the miss posterior for each cell (ci,
-    cj); after the first detection the miss weights come from memo's miss
-    rows."""
-    X, Y = geom.cell_centers()
-    xs, ys = X[0], Y[:, 0]
+    cj), from one gather each of the clamped masses P_b and of the hit
+    weights through memo's block tables; after the first detection the miss
+    weights come from memo's miss rows. Where cell centres d cells apart
+    differ by exactly d * h in floats the hit weights are the bits of
+    detection_block_weights, and elsewhere they differ by rounding only."""
+    x, y = memo.axes
     n = len(ci)
-    cols, own_i, *col_mass = _block_axis(ci, memo.radius, geom.nx)
-    rows, own_j, *row_mass = _block_axis(cj, memo.radius, geom.ny)
-    mass = _clamped_mass(memo.tables, row_mass, col_mass).reshape(n, -1)
+    mass = _gather(memo.sums(ci, cj), y.mass[cj], x.mass[ci])
+    in_y, in_x = y.inside[cj], x.inside[ci]
+    if not (in_y.all() and in_x.all()):  # P_b is 0 past a block
+        mass[~(in_y[:, :, None] & in_x[:, None, :])] = 0.0
+    mass = mass.reshape(n, -1)
     log_mass = _log_mass(mass)
-    w = _table_hit_weights(geom, ci, cj, rows, cols, ctx.v_hat, params.sigma2_hit)
-    kl_hit = _update_kl(mass, w.reshape(n, -1), log_mass)
-    px, py, bx, by = xs[ci], ys[cj], xs[cols], ys[rows]
+    table = _hit_kernel_table(geom, tuple(ctx.v_hat), params.sigma2_hit)
+    kl_hit = _update_kl(mass, _gather(table, y.hit[cj], x.hit[ci]).reshape(n, -1), log_mass)
+    X, Y = geom.cell_centers()
+    px, py, bx, by = X[0, ci], Y[cj, 0], x.centres[ci], y.centres[cj]
+    own_j, own_i = y.own[cj], x.own[ci]
 
     def miss(at):
         block = px[at], py[at], bx[at], by[at], (own_j[at], own_i[at])

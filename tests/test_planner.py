@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,9 @@ from plumetrack.belief import (
     angle_between,
     detection_block_weights,
     detection_likelihood,
+    miss_block_weights,
     miss_likelihood,
+    weighted_mass,
 )
 import plumetrack.planner as planner
 from plumetrack.planner import _hit_kernel_table, _hit_probabilities, _update_kl, score_candidates
@@ -664,11 +667,77 @@ def flip_copy_anchored_sums(probs):
 
 
 def four_index_clamped_mass(tables, rows, cols):
-    """_clamped_mass in its earlier form: one fancy index with four arrays."""
+    """The clamped masses P_b in their earlier form, one fancy index with
+    four arrays; rows and cols are the last three results of _block_axis."""
     (in_y, kind_y, read_y), (in_x, kind_x, read_x) = rows, cols
     mass = tables[kind_y[:, :, None], kind_x[:, None, :], read_y[:, :, None], read_x[:, None, :]]
     mass[~(in_y[:, :, None] & in_x[:, None, :])] = 0.0
     return mass
+
+
+def masked_log_mass(mass):
+    """_log_mass in its earlier form: the log taken only where mass > 0 into
+    a zeroed array."""
+    return np.log(mass, out=np.zeros_like(mass), where=mass > 0)
+
+
+def masked_update_kl(mass, w, log_mass):
+    """_update_kl in its earlier form: the log and the subtraction taken
+    only where the posterior holds mass, into a zeroed array."""
+    post, z = weighted_mass(mass, w, axis=1)
+    post /= np.where(z > 0, z, 1.0)
+    live = post > 0
+    log_ratio = np.log(post, out=np.zeros_like(post), where=live)
+    np.subtract(log_ratio, log_mass, out=log_ratio, where=live)
+    log_ratio *= post
+    return log_ratio.sum(axis=1)
+
+
+def reference_block_scores(belief, ci, cj, ctx, params):
+    """_score's (C, 2) rows of (ig, p_hit) in the earlier forms, all cells
+    in one pass: _block_axis per call, flip_copy_anchored_sums,
+    four_index_clamped_mass, hit weights read from the offset table by a
+    two-array index, the miss kernel on every block, the masked _update_kl
+    and reversed_slice_p_hit."""
+    geom = belief.geometry
+    nx, ny, n = geom.nx, geom.ny, len(ci)
+    r = min(params.local_radius_cells, max(nx, ny))
+    cols, own_i, *col_mass = planner._block_axis(ci, r, nx)
+    rows, own_j, *row_mass = planner._block_axis(cj, r, ny)
+    tables = flip_copy_anchored_sums(belief.probs)
+    mass = four_index_clamped_mass(tables, row_mass, col_mass).reshape(n, -1)
+    log_mass = masked_log_mass(mass)
+    table = _hit_kernel_table(geom, tuple(ctx.v_hat), params.sigma2_hit)
+    hit = table[(ny - 1 - cj[:, None] + rows)[:, :, None], (nx - 1 - ci[:, None] + cols)[:, None]]
+    X, Y = geom.cell_centers()
+    xs, ys = X[0], Y[:, 0]
+    block = xs[ci], ys[cj], xs[cols], ys[rows], (own_j, own_i)
+    miss = miss_block_weights(*block, ctx.last_hit_pos, geom.h, params.sigma2_miss)
+    kl_hit = masked_update_kl(mass, hit.reshape(n, -1), log_mass)
+    kl_miss = masked_update_kl(mass, miss.reshape(n, -1), log_mass)
+    p = reversed_slice_p_hit(belief, ci, cj, ctx.v_hat, params)
+    return np.stack([p * kl_hit + (1.0 - p) * kl_miss, p], axis=1)
+
+
+@st.composite
+def kl_rows(draw):
+    """(mass, w) pairs of (C, B) arrays, B from 1 to 8,193 around the SIMD
+    widths, C from 1 to 200 (to 24 for the longest rows, so a case stays
+    under 200,000 elements): uniform or p**40 values with zeros, entries
+    scaled by 1e-310 into the subnormals, and rows whose entries are all
+    dead (0)."""
+    b = draw(st.sampled_from([1, 7, 8, 9, 15, 16, 17, 121, 8191, 8193]))
+    c = draw(st.integers(1, 200 if b < 8191 else 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values():
+        v = rng.random((c, b)) ** draw(st.sampled_from([1, 40]))
+        v[rng.random((c, b)) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+        v[rng.random((c, b)) < draw(st.sampled_from([0.0, 0.3]))] *= 1e-310
+        v[rng.random(c) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        return v
+
+    return values(), values()
 
 
 @st.composite
@@ -755,32 +824,97 @@ class TestBatchedScoring:
     def test_block_tables_and_scores_equal_the_earlier_forms(self, case):
         belief, usv_cell, ctx, params = case
         geom = belief.geometry
-        tables = planner._anchored_sums(belief.probs)
+        tables = planner._anchored_sums(belief.probs, np.empty((3, 3, geom.ny, geom.nx)))
         assert tables.tobytes() == flip_copy_anchored_sums(belief.probs).tobytes()
         cells = candidate_waypoints(geom, usv_cell, params)
-        ci, cj = np.array(cells, dtype=int).reshape(-1, 2).T
-        if cells:
-            r = min(params.local_radius_cells, max(geom.nx, geom.ny))
-            _, _, *cols = planner._block_axis(ci, r, geom.nx)
-            _, _, *rows = planner._block_axis(cj, r, geom.ny)
-            mass = planner._clamped_mass(tables, rows, cols)
-            assert mass.tobytes() == four_index_clamped_mass(tables, rows, cols).tobytes()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(planner, "_clamped_mass", four_index_clamped_mass)
-            mp.setattr(planner, "_hit_probabilities", reversed_slice_p_hit)
-            memo = planner.CellScores()
-            memo.renew(belief, ctx, params)
-            memo.tables = flip_copy_anchored_sums(belief.probs)
-            want = planner._score(belief, ci, cj, ctx, params, memo)
+        if not cells:
+            return
+        ci, cj = np.array(cells).T
+        want = reference_block_scores(belief, ci, cj, ctx, params)
         # a budget of one element scores a block the size of the grid, as a
-        # radius past it gives, one candidate per chunk
+        # radius past it gives, one candidate per chunk: the first chunk
+        # reads cut folds and the later ones the whole grid's
         for budget in (planner._BLOCK_ELEMENTS, 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(planner, "_BLOCK_ELEMENTS", budget)
                 memo = planner.CellScores()
                 memo.renew(belief, ctx, params)
-                got = planner._score(belief, ci, cj, ctx, params, memo)
-            assert got.tobytes() == want.tobytes()
+                memo.tables.fill(np.nan)  # an entry read and never folded shows
+                first = planner._score(belief, ci, cj, ctx, params, memo)
+                second = planner._score(belief, ci, cj, ctx, params, memo)
+            assert first.tobytes() == want.tobytes()
+            assert second.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_table_cases())
+    def test_a_first_pass_folds_every_sum_it_reads(self, case):
+        # the first chunk's anchored sums hold _anchored_sums's bits at every
+        # flat index its gather reads; after it, a later chunk or a second
+        # pass over the first holds them over the whole grid
+        belief, usv_cell, ctx, params = case
+        geom = belief.geometry
+        cells = candidate_waypoints(geom, usv_cell, params)
+        if not cells:
+            return
+        ci, cj = np.array(cells).T
+        full = planner._anchored_sums(belief.probs, np.empty((3, 3, geom.ny, geom.nx)))
+        for budget in (planner._BLOCK_ELEMENTS, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(planner, "_BLOCK_ELEMENTS", budget)
+                memo = planner.CellScores()
+                memo.renew(belief, ctx, params)
+            memo.tables.fill(np.nan)
+            x, y = memo.axes
+            chunks = [slice(s, s + memo.chunk) for s in range(0, len(ci), memo.chunk)]
+            for n, part in enumerate(chunks + chunks[:1]):
+                planner._block_kls(geom, memo, ci[part], cj[part], ctx, params)
+                if n == 0:
+                    read = y.mass[cj[part]][:, :, None] + x.mass[ci[part]][:, None, :]
+                    got = memo.tables.reshape(-1).take(read)
+                    assert got.tobytes() == full.reshape(-1).take(read).tobytes()
+                else:
+                    assert memo.tables.tobytes() == full.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.floats(0.1, 10.0),
+        st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+        st.data(),
+    )
+    def test_axis_tables_are_the_block_axis_of_each_cell(self, nx, ny, h, origin, data):
+        geom = GridGeometry(nx, ny, h, origin)
+        r = data.draw(st.integers(0, 2 * max(nx, ny) + 1))
+        x, y = planner._block_tables(geom, r)
+        X, Y = geom.cell_centers()
+        strides = ((x, nx, X[0], ny * nx, 1, 1), (y, ny, Y[:, 0], 3 * ny * nx, nx, 2 * nx - 1))
+        for axis, n, centres, per_kind, per_read, per_offset in strides:
+            assert all(not a.flags.writeable for a in axis)
+            for c in range(n):
+                row = planner._block_axis(np.array([c]), r, n)
+                cells, own, inside, kind, read = (a[0] for a in row)
+                assert [a[c].tolist() for a in axis[:5]] == [
+                    a.tolist() for a in (cells, own, inside, kind, read)
+                ]
+                assert axis.mass[c].tolist() == (kind * per_kind + read * per_read).tolist()
+                assert axis.hit[c].tolist() == ((n - 1 - c + cells) * per_offset).tolist()
+                assert axis.centres[c].tobytes() == centres[cells].tobytes()
+                for k in range(3):
+                    reads = read[kind == k].tolist()
+                    assert axis.first[c, k] == min(reads, default=n)
+                    assert axis.last[c, k] == max(reads, default=-1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kl_rows())
+    def test_unmasked_logs_equal_the_masked_forms(self, rows):
+        mass, w = rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            log_mass = planner._log_mass(mass)
+            assert log_mass.tobytes() == masked_log_mass(mass).tobytes()
+            got = _update_kl(mass, w, log_mass)
+        assert got.tobytes() == masked_update_kl(mass, w, log_mass).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(scoring_cases(), st.data())
@@ -963,9 +1097,11 @@ class TestBatchedScoring:
         r = min(radius, max(geom.nx, geom.ny))
         v_hat = (math.cos(wind), math.sin(wind))
         cj, ci = np.divmod(np.arange(geom.k), geom.nx)
+        x, y = planner._block_tables(geom, r)
+        table = _hit_kernel_table(geom, v_hat, sigma2_hit)
+        got = planner._gather(table, y.hit[cj], x.hit[ci])
         cols, own_i, *_ = planner._block_axis(ci, r, geom.nx)
         rows, own_j, *_ = planner._block_axis(cj, r, geom.ny)
-        got = planner._table_hit_weights(geom, ci, cj, rows, cols, v_hat, sigma2_hit)
         X, Y = geom.cell_centers()
         xs, ys = X[0], Y[:, 0]
         block = (xs[ci], ys[cj], xs[cols], ys[rows], (own_j, own_i))
